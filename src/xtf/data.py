@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,11 +265,25 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_atomic(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def write_atomic(path, data: str | bytes) -> None:
+    """Write through a private temporary file in the target directory, then
+    rename it over `path`, so readers never see a partial file and
+    concurrent writers never share a temporary. Text is written as UTF-8."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{os.path.basename(path)}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            # mkstemp makes the file owner-only; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def save_dataset(records, path) -> None:
@@ -325,18 +340,6 @@ def parse_config_text(text: str) -> dict[str, str]:
 def load_config(path) -> dict[str, str]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
-
-
-def worker_count() -> int:
-    """Worker cap from XTF_THREADS (0 or unset means auto)."""
-    raw = os.environ.get("XTF_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        return min(4, os.cpu_count() or 1)
-    return n
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
+from .data import write_atomic
 from .numerics import GradientTape, Tensor
 
 
@@ -98,43 +99,52 @@ class ForwardTrace:
             raise AssertionError("causal mask violated")
 
 
-def init(config: ModelConfig) -> ModelParams:
-    """Deterministic initialization: N(0, 0.02) weights, zero biases, unit gains."""
-    rng = np.random.default_rng(config.seed)
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every weight, in construction (and checkpoint) order."""
     d, dff, v = config.d_model, config.d_ff, config.vocab_size
-    t: dict[str, Tensor] = {}
-
-    def normal(shape):
-        return Tensor(rng.normal(0.0, 0.02, size=shape))
-
-    t["tok_emb"] = normal((v, d))
-    t["pos_emb"] = normal((config.max_seq, d))
+    shapes: dict[str, tuple[int, ...]] = {"tok_emb": (v, d), "pos_emb": (config.max_seq, d)}
     for i in range(config.n_layers):
         p = f"layer{i}"
-        t[f"{p}.ln1.gain"] = Tensor(np.ones(d))
-        t[f"{p}.ln1.bias"] = Tensor(np.zeros(d))
+        shapes[f"{p}.ln1.gain"] = shapes[f"{p}.ln1.bias"] = (d,)
         for name in ("wq", "wk", "wv", "wo"):
-            t[f"{p}.attn.{name}"] = normal((d, d))
+            shapes[f"{p}.attn.{name}"] = (d, d)
             # no key bias: it shifts every score in a query row by the same
             # constant, which softmax cancels, leaving a forever-zero gradient
             if name != "wk":
-                t[f"{p}.attn.{name.replace('w', 'b')}"] = Tensor(np.zeros(d))
-        t[f"{p}.ln2.gain"] = Tensor(np.ones(d))
-        t[f"{p}.ln2.bias"] = Tensor(np.zeros(d))
-        t[f"{p}.ff.w1"] = normal((d, dff))
-        t[f"{p}.ff.b1"] = Tensor(np.zeros(dff))
-        t[f"{p}.ff.w2"] = normal((dff, d))
-        t[f"{p}.ff.b2"] = Tensor(np.zeros(d))
+                shapes[f"{p}.attn.{name.replace('w', 'b')}"] = (d,)
+        shapes[f"{p}.ln2.gain"] = shapes[f"{p}.ln2.bias"] = (d,)
+        shapes[f"{p}.ff.w1"] = (d, dff)
+        shapes[f"{p}.ff.b1"] = (dff,)
+        shapes[f"{p}.ff.w2"] = (dff, d)
+        shapes[f"{p}.ff.b2"] = (d,)
     # terminal norm: a pre-norm stack feeds an unnormalized residual stream
     # to the output head, which stalls training at this scale without it
-    t["final.gain"] = Tensor(np.ones(d))
-    t["final.bias"] = Tensor(np.zeros(d))
+    shapes["final.gain"] = shapes["final.bias"] = (d,)
     if not config.tie_output:
-        t["out_proj"] = normal((v, d))
+        shapes["out_proj"] = (v, d)
+    return shapes
+
+
+def init(config: ModelConfig) -> ModelParams:
+    """Deterministic initialization: N(0, 0.02) weights, zero biases, unit gains."""
+    rng = np.random.default_rng(config.seed)
+    t: dict[str, Tensor] = {}
+    for name, shape in param_shapes(config).items():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf == "gain":
+            t[name] = Tensor(np.ones(shape))
+        elif leaf.startswith("b"):
+            t[name] = Tensor(np.zeros(shape))
+        else:
+            t[name] = Tensor(rng.normal(0.0, 0.02, size=shape))
     return ModelParams(config, t)
 
 
-def _check_tokens(config: ModelConfig, tokens) -> np.ndarray:
+def _check_tokens(config: ModelConfig, tokens, lengths=None) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """Validated ids plus the (start, end) rows of each packed sequence.
+
+    A packed stream obeys the single-sequence limits: at most `max_seq` rows
+    in all, every sequence non-empty, every id in the vocabulary."""
     ids = np.asarray(tokens, dtype=np.intp)
     if ids.ndim != 1 or ids.size == 0:
         raise InputError("tokens must be a non-empty 1-D sequence")
@@ -142,7 +152,12 @@ def _check_tokens(config: ModelConfig, tokens) -> np.ndarray:
         raise InputError(f"sequence length {ids.size} exceeds max_seq {config.max_seq}")
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise InputError(f"token id out of vocabulary (vocab_size={config.vocab_size})")
-    return ids
+    if lengths is None:
+        return ids, ((0, ids.size),)
+    ends = np.cumsum(lengths)
+    if len(ends) == 0 or min(lengths) < 1 or ends[-1] != ids.size:
+        raise InputError(f"packed lengths {list(lengths)} do not partition {ids.size} tokens")
+    return ids, tuple(zip((0, *ends[:-1].tolist()), ends.tolist()))
 
 
 _MASK_CACHE: dict[int, np.ndarray] = {}
@@ -157,49 +172,71 @@ def _causal_mask(s: int) -> np.ndarray:
     return mask
 
 
-def _causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> tuple[Tensor, np.ndarray]:
+def _causal_attention(
+    q: Tensor, k: Tensor, v: Tensor, n_heads: int, bounds: tuple[tuple[int, int], ...] | None = None
+) -> tuple[Tensor, np.ndarray]:
     """Fused multi-head causal attention over (seq, d_model) projections.
 
-    One tape record instead of a dozen; returns the mixed context and the
-    per-head attention weights (heads, seq, seq) for the trace.
+    `bounds` lists the (start, end) rows of each packed sequence (default:
+    one sequence); each block attends only within itself, so no row sees
+    across a bound and no score is computed there. One tape record instead
+    of a dozen; returns the mixed context and the per-head attention weights
+    (heads, seq, seq) for the trace, exactly 0 outside each sequence's
+    causal block.
     """
     s, d = q.shape
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
+    bounds = bounds or ((0, s),)
     q3 = q.value.reshape(s, n_heads, dh).swapaxes(0, 1)
     k3 = k.value.reshape(s, n_heads, dh).swapaxes(0, 1)
     v3 = v.value.reshape(s, n_heads, dh).swapaxes(0, 1)
-    scores = q3 @ k3.swapaxes(1, 2) * scale + _causal_mask(s)
-    m = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - m)
-    weights = e / e.sum(axis=-1, keepdims=True)
-    ctx = (weights @ v3).swapaxes(0, 1).reshape(s, d)
-    out = Tensor(ctx)
+    ctx3 = np.empty((n_heads, s, dh))
+    blocks = []
+    for a, b in bounds:
+        scores = q3[:, a:b] @ k3[:, a:b].swapaxes(1, 2) * scale + _causal_mask(b - a)
+        m = scores.max(axis=-1, keepdims=True)
+        e = np.exp(scores - m)
+        w = e / e.sum(axis=-1, keepdims=True)
+        ctx3[:, a:b] = w @ v3[:, a:b]
+        blocks.append(w)
+    out = Tensor(ctx3.swapaxes(0, 1).reshape(s, d))
 
     def bwd(g):
         g3 = g.reshape(s, n_heads, dh).swapaxes(0, 1)
-        g_w = g3 @ v3.swapaxes(1, 2)
-        g_v3 = weights.swapaxes(1, 2) @ g3
-        g_scores = weights * (g_w - np.sum(weights * g_w, axis=-1, keepdims=True))
-        g_scores *= scale
-        g_q3 = g_scores @ k3
-        g_k3 = g_scores.swapaxes(1, 2) @ q3
+        g_q3, g_k3, g_v3 = (np.empty((n_heads, s, dh)) for _ in range(3))
+        for (a, b), w in zip(bounds, blocks):
+            g_w = g3[:, a:b] @ v3[:, a:b].swapaxes(1, 2)
+            g_v3[:, a:b] = w.swapaxes(1, 2) @ g3[:, a:b]
+            g_scores = w * (g_w - np.sum(w * g_w, axis=-1, keepdims=True))
+            g_scores *= scale
+            g_q3[:, a:b] = g_scores @ k3[:, a:b]
+            g_k3[:, a:b] = g_scores.swapaxes(1, 2) @ q3[:, a:b]
         to_flat = lambda a: a.swapaxes(0, 1).reshape(s, d)
         return to_flat(g_q3), to_flat(g_k3), to_flat(g_v3)
 
     nm.record_op(out, (q, k, v), bwd)
+    if len(blocks) == 1:
+        return out, blocks[0]
+    weights = np.zeros((n_heads, s, s))
+    for (a, b), w in zip(bounds, blocks):
+        weights[:, a:b, a:b] = w
     return out, weights
 
 
-def forward_tensors(params: ModelParams, tokens) -> tuple[Tensor, list[np.ndarray], np.ndarray]:
+def forward_tensors(params: ModelParams, tokens, lengths=None) -> tuple[Tensor, list[np.ndarray], np.ndarray]:
     """Causal forward pass. Returns the logits tensor (differentiable when a
     tape is active), per-layer attention weight arrays, and the input
-    embeddings that fed the first block."""
-    cfg = params.config
-    ids = _check_tokens(cfg, tokens)
-    s = ids.size
+    embeddings that fed the first block.
 
-    x = nm.embed_positions(params["tok_emb"], params["pos_emb"], ids)
+    With `lengths`, `tokens` is several sequences concatenated without
+    padding; each starts at position 0 and attends only within itself, so
+    its rows of the result are those of its own forward pass."""
+    cfg = params.config
+    ids, bounds = _check_tokens(cfg, tokens, lengths)
+    pos_ids = None if lengths is None else np.concatenate([np.arange(b - a) for a, b in bounds])
+
+    x = nm.embed_positions(params["tok_emb"], params["pos_emb"], ids, pos_ids)
     input_emb = x.value
     attn_maps: list[np.ndarray] = []
 
@@ -209,7 +246,7 @@ def forward_tensors(params: ModelParams, tokens) -> tuple[Tensor, list[np.ndarra
         q = nm.linear(normed, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"])
         k = nm.matmul(normed, params[f"{p}.attn.wk"])
         v = nm.linear(normed, params[f"{p}.attn.wv"], params[f"{p}.attn.bv"])
-        ctx, weights = _causal_attention(q, k, v, cfg.n_heads)
+        ctx, weights = _causal_attention(q, k, v, cfg.n_heads, bounds)
         attn_maps.append(weights)
         x = nm.add(x, nm.linear(ctx, params[f"{p}.attn.wo"], params[f"{p}.attn.bo"]))
 
@@ -352,16 +389,13 @@ def save_checkpoint(params: ModelParams, path) -> None:
         chunks.append(struct.pack("<I", tensor.value.ndim))
         chunks.append(struct.pack(f"<{tensor.value.ndim}I", *tensor.value.shape))
         chunks.append(tensor.value.astype("<f8").tobytes())
-    blob = b"".join(chunks)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    import os
-
-    os.replace(tmp, path)
+    write_atomic(path, b"".join(chunks))
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Read a checkpoint written by `save_checkpoint`. Anything else (short,
+    overlong, or with tensors other than `param_shapes` of its config)
+    raises InputError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     off = 0
@@ -369,6 +403,8 @@ def load_checkpoint(path) -> ModelParams:
     def take(fmt):
         nonlocal off
         size = struct.calcsize(fmt)
+        if off + size > len(blob):
+            raise InputError(f"{path}: truncated checkpoint ({len(blob)} bytes)")
         vals = struct.unpack_from(fmt, blob, off)
         off += size
         return vals
@@ -380,17 +416,31 @@ def load_checkpoint(path) -> ModelParams:
     if version != CHECKPOINT_VERSION:
         raise InputError(f"{path}: unsupported checkpoint version {version}")
     vocab, d, n_layers, n_heads, d_ff, max_seq, seed, tied = take("<6IqB")
-    cfg = ModelConfig(vocab, d, n_layers, n_heads, d_ff, max_seq, seed, bool(tied))
+    try:
+        cfg = ModelConfig(vocab, d, n_layers, n_heads, d_ff, max_seq, seed, bool(tied))
+    except ConfigError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    expected = param_shapes(cfg)
     (count,) = take("<I")
+    if count != len(expected):
+        raise InputError(f"{path}: {count} tensors, the config needs {len(expected)}")
     tensors: dict[str, Tensor] = {}
-    for _ in range(count):
+    for want_name, want_shape in expected.items():
         (name_len,) = take("<I")
-        name = blob[off : off + name_len].decode("utf-8")
+        raw = blob[off : off + name_len]
         off += name_len
         (rank,) = take("<I")
         dims = take(f"<{rank}I")
-        n_items = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=n_items, offset=off).reshape(dims)
-        off += n_items * 8
-        tensors[name] = Tensor(arr.copy())
+        if raw != want_name.encode("utf-8") or dims != want_shape:
+            raise InputError(
+                f"{path}: tensor {raw.decode('utf-8', 'replace')!r} {dims}, expected {want_name!r} {want_shape}"
+            )
+        n_bytes = 8 * int(np.prod(dims))
+        if off + n_bytes > len(blob):
+            raise InputError(f"{path}: truncated checkpoint ({len(blob)} bytes)")
+        arr = np.frombuffer(blob, dtype="<f8", count=n_bytes // 8, offset=off).reshape(dims)
+        tensors[want_name] = Tensor(arr.copy())
+        off += n_bytes
+    if off != len(blob):
+        raise InputError(f"{path}: {len(blob) - off} bytes past the last tensor")
     return ModelParams(cfg, tensors)

@@ -9,6 +9,7 @@ context-free embedding sits to the dataset centroid (task relevance).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ from .model import ForwardTrace, InputError, ModelParams, forward
 from .numerics import softmax_value
 
 RI_AGGS = ("mean", "sum", "last_layer_mean")
+SCORE_KEYS = ("s_ri", "s_kn", "s_tr", "pcp")  # TokenScores field order
 
 
 class ConsistencyError(ValueError):
@@ -230,20 +232,35 @@ def save_scores(scores: list[TokenScores], path) -> None:
 
 
 def load_scores(path) -> list[TokenScores]:
+    """Read a scores file. Each line needs a string id and four equal-length
+    lists of finite numbers, and no id may repeat; otherwise InputError."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            out.append(
-                TokenScores(
-                    obj["id"],
-                    np.array(obj["s_ri"], dtype=np.float64),
-                    np.array(obj["s_kn"], dtype=np.float64),
-                    np.array(obj["s_tr"], dtype=np.float64),
-                    np.array(obj["pcp"], dtype=np.float64),
+            try:
+                obj = json.loads(line)
+                sid = obj["id"]
+                arrays = [np.array(obj[key], dtype=np.float64) for key in SCORE_KEYS]
+            except KeyError as exc:
+                raise InputError(f"{path}:{lineno}: missing key {exc}") from None
+            except (ValueError, TypeError) as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from None
+            if not isinstance(sid, str):
+                raise InputError(f"{path}:{lineno}: id {sid!r} is not a string")
+            if any(a.ndim != 1 or a.size != arrays[0].size for a in arrays) or arrays[0].size == 0:
+                raise InputError(
+                    f"{path}:{lineno}: {', '.join(SCORE_KEYS)} of {sid!r} are not equal-length, non-empty lists"
                 )
-            )
+            out.append(TokenScores(sid, *arrays))
+    values = [getattr(s, key) for s in out for key in SCORE_KEYS]
+    if values and not np.isfinite(np.concatenate(values)).all():
+        bad = next(s.id for s in out if not all(np.isfinite(getattr(s, key)).all() for key in SCORE_KEYS))
+        raise InputError(f"{path}: non-finite score for {bad!r}")
+    counts = Counter(s.id for s in out)
+    if len(counts) != len(out):
+        dup = next(i for i, n in counts.items() if n > 1)
+        raise InputError(f"{path}: id {dup!r} appears more than once")
     return out

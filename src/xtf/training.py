@@ -46,6 +46,46 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
 
 
+def _kept_targets(example: TokenizedExample, mask: NoiseMask | None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (within the example's tokens) that predict its kept label tokens,
+    and those tokens' ids."""
+    n_out = len(example.output_ids)
+    if mask is not None and len(mask.noise) != n_out:
+        raise ContractError(
+            f"example {example.id!r}: mask length {len(mask.noise)} != label length {n_out}"
+        )
+    kept = [k for k in range(n_out) if mask is None or not mask.noise[k]]
+    rows = np.array([example.l_input + k - 1 for k in kept], dtype=np.intp)
+    cols = np.array([example.output_ids[k] for k in kept], dtype=np.intp)
+    return rows, cols
+
+
+def packed_loss(
+    params: ModelParams,
+    examples: list[TokenizedExample],
+    masks: list[NoiseMask | None],
+) -> tuple[float, list[np.ndarray]]:
+    """Masked loss summed over `examples`, with gradients (in `params.values()`
+    order) from one tape. The examples are concatenated without padding into
+    one stream of at most `max_seq` rows; no sequence attends to another, so
+    the result is the sum of their `masked_loss` results."""
+    tokens: list[int] = []
+    lengths, rows, cols = [], [], []
+    for ex, mask in zip(examples, masks):
+        r, c = _kept_targets(ex, mask)
+        rows.append(r + len(tokens))
+        cols.append(c)
+        tokens += ex.tokens
+        lengths.append(len(ex.tokens))
+    rows_all = np.concatenate(rows)
+    if rows_all.size == 0:
+        return 0.0, [np.zeros_like(t.value) for t in params.values()]
+    with GradientTape() as tape:
+        logits, _, _ = forward_tensors(params, tokens, lengths)
+        loss = nm.sequence_nll(logits, rows_all, np.concatenate(cols))
+    return float(loss.value), tape.gradients(loss, params.values())
+
+
 def masked_loss(
     params: ModelParams,
     example: TokenizedExample,
@@ -54,22 +94,8 @@ def masked_loss(
     """Sum of negative log-probabilities over kept label tokens, with
     gradients from one tape. Input positions never contribute; a fully
     masked sample yields loss 0 and all-zero gradients."""
-    n_out = len(example.output_ids)
-    if mask is not None and len(mask.noise) != n_out:
-        raise ContractError(
-            f"example {example.id!r}: mask length {len(mask.noise)} != label length {n_out}"
-        )
-    kept = [k for k in range(n_out) if mask is None or not mask.noise[k]]
-    names = params.names()
-    if not kept:
-        return 0.0, {n: np.zeros_like(params[n].value) for n in names}
-    rows = np.array([example.l_input + k - 1 for k in kept], dtype=np.intp)
-    cols = np.array([example.output_ids[k] for k in kept], dtype=np.intp)
-    with GradientTape() as tape:
-        logits, _, _ = forward_tensors(params, example.tokens)
-        loss = nm.sequence_nll(logits, rows, cols)
-    grads = tape.gradients(loss, params.values())
-    return float(loss.value), dict(zip(names, grads))
+    loss, grads = packed_loss(params, [example], [mask])
+    return loss, dict(zip(params.names(), grads))
 
 
 def evaluate(params: ModelParams, eval_set: list[TokenizedExample]) -> float:
@@ -109,6 +135,21 @@ class TrainResult:
     best_val_acc: float = 0.0
 
 
+def _runs(batch: list[TokenizedExample], max_seq: int) -> list[list[TokenizedExample]]:
+    """Cut a batch, in order, into runs of consecutive examples that fit in
+    `max_seq` rows together, so one run costs no more activation memory than
+    one maximum-length sequence."""
+    runs: list[list[TokenizedExample]] = []
+    rows = 0
+    for ex in batch:
+        if not runs or rows + len(ex.tokens) > max_seq:
+            runs.append([])
+            rows = 0
+        runs[-1].append(ex)
+        rows += len(ex.tokens)
+    return runs
+
+
 def _epoch_pass(
     params: ModelParams,
     examples: list[TokenizedExample],
@@ -117,27 +158,31 @@ def _epoch_pass(
     rng: np.random.Generator,
     opt_state: OptState,
 ) -> float:
-    """One shuffled epoch of batched updates; returns mean per-sample loss."""
+    """One shuffled epoch of batched updates; returns mean per-sample loss.
+
+    Each batch is packed into runs of up to `max_seq` rows with one taped
+    pass each; the update uses the summed gradient over the batch size, the
+    mean of the per-sample gradients."""
     order = rng.permutation(len(examples))
     total_loss = 0.0
     for start in range(0, len(order), config.batch_size):
         batch = [examples[i] for i in order[start : start + config.batch_size]]
-        acc: dict[str, np.ndarray] | None = None
-        for ex in batch:
-            mask = masks.get(ex.id) if masks else None
-            loss, grads = masked_loss(params, ex, mask)
+        acc: list[np.ndarray] | None = None
+        for run in _runs(batch, params.config.max_seq):
+            run_masks = [masks.get(ex.id) if masks else None for ex in run]
+            loss, grads = packed_loss(params, run, run_masks)
             if not math.isfinite(loss):
-                raise TrainingError(f"non-finite loss on sample {ex.id!r}")
+                raise TrainingError(f"non-finite loss on the run of samples {[ex.id for ex in run]!r}")
             total_loss += loss
             if acc is None:
                 acc = grads
             else:
-                for name, g in grads.items():
-                    acc[name] += g
+                for a, g in zip(acc, grads):
+                    a += g
         scale = 1.0 / len(batch)
-        for name in acc:
-            acc[name] *= scale
-        optimizer_step(params, acc, opt_state, config.learning_rate, config.optimizer)
+        for a in acc:
+            a *= scale
+        optimizer_step(params, dict(zip(params.names(), acc)), opt_state, config.learning_rate, config.optimizer)
     return total_loss / len(examples)
 
 

@@ -27,7 +27,6 @@ from xtf.data import (
     strip_noise,
     subseed,
     tokenize,
-    worker_count,
 )
 from xtf.filtering import NoiseMask
 
@@ -186,13 +185,6 @@ def test_parse_config_text():
         parse_config_text("not a pair\n")
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("XTF_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("XTF_THREADS", "0")
-    assert worker_count() >= 1
-
-
 # ---------------------------------------------------------------------------
 # dataset files and filter quality
 # ---------------------------------------------------------------------------
@@ -247,6 +239,40 @@ def test_cli_missing_scores_file_exits_1(tmp_path, capsys):
     code = _run(["filter", "--scores", str(missing), "--out", str(tmp_path / "m.jsonl")])
     assert code == 1
     assert str(missing) in capsys.readouterr().err
+
+
+def test_cli_rejects_bad_artifacts_with_one_line(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    scores = tmp_path / "scores.jsonl"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d_model = 16\nn_layers = 1\nn_heads = 2\nd_ff = 24\n")
+    assert _run(["gen-synth", "--task", "addition", "--size", "20", "--noise-rate", "0.25", "--seed", "3", "--out", str(data)]) == 0
+    assert _run(["score", "--data", str(data), "--config", str(cfg), "--seed", "3", "--out", str(scores)]) == 0
+    lines = scores.read_text().splitlines()
+
+    masks = tmp_path / "masks.jsonl"
+    for bad in (
+        [json.dumps({k: v for k, v in json.loads(lines[0]).items() if k != "s_kn"})] + lines[1:],
+        lines + [lines[3]],
+    ):
+        scores.write_text("\n".join(bad) + "\n")
+        capsys.readouterr()
+        assert _run(["filter", "--scores", str(scores), "--out", str(masks)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not masks.exists()
+
+    from xtf.model import ModelConfig, init, save_checkpoint
+
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(init(ModelConfig()), ckpt)
+    blob = ckpt.read_bytes()
+    for bad in (blob + b"JUNKJUNK", blob[:20]):
+        ckpt.write_bytes(bad)
+        capsys.readouterr()
+        assert _run(["eval", "--data", str(data), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_pipeline_smoke(tmp_path, capsys):

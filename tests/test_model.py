@@ -219,6 +219,45 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
+def _checkpoint_with_wrong_tensor(params, path):
+    """A well-formed file whose first layer's ff.b1 has one entry too many."""
+    bad = params.copy()
+    bad.tensors["layer0.ff.b1"] = Tensor(np.zeros(bad.config.d_ff + 1))
+    save_checkpoint(bad, path)
+
+
+def test_checkpoint_rejects_every_malformed_file(tmp_path, tiny_generic_params):
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(tiny_generic_params, good)
+    blob = good.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    renamed = blob.replace(b"layer1.ff.w1", b"layer1.ff.wX")
+    assert renamed != blob
+    for mangled in (blob + b"JUNKJUNK", blob[:20], blob[:-8], blob[: len(blob) // 2], renamed):
+        bad.write_bytes(mangled)
+        with pytest.raises(InputError):
+            load_checkpoint(bad)
+    _checkpoint_with_wrong_tensor(tiny_generic_params, bad)
+    with pytest.raises(InputError):
+        load_checkpoint(bad)
+    short = tiny_generic_params.copy()
+    del short.tensors["final.bias"]
+    save_checkpoint(short, bad)
+    with pytest.raises(InputError):
+        load_checkpoint(bad)
+
+
+def test_save_checkpoint_leaves_no_temporary(tmp_path, tiny_params):
+    import os
+
+    save_checkpoint(tiny_params, tmp_path / "a.ckpt")
+    save_checkpoint(tiny_params, tmp_path / "a.ckpt")
+    assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert (tmp_path / "a.ckpt").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_scoring_probes_share_one_forward(tiny_params):
     # the trace exposes everything the scorers need in one pass
     trace = forward(tiny_params, [1, 2, 3, 4])

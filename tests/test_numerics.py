@@ -193,3 +193,46 @@ def test_tape_is_scoped_per_context():
             nm.mul(x, x)
         assert len(inner) == 1
     assert len(outer) == 1
+
+
+def test_tape_keeps_gradients_of_requested_intermediates():
+    # replay frees each intermediate's gradient once its record has run,
+    # except for tensors the caller asked for
+    x = Tensor([1.0, -2.0, 3.0])
+    with GradientTape() as tape:
+        y = nm.mul(x, x)
+        z = nm.scale(y, 3.0)
+        loss = nm.total(nm.mul(z, y))
+    gx, gy, gz = tape.gradients(loss, [x, y, z])
+    # loss = 3 y^2 with y = x^2
+    np.testing.assert_allclose(gy, 6.0 * y.value)
+    np.testing.assert_allclose(gz, y.value)
+    np.testing.assert_allclose(gx, 12.0 * x.value**3)
+
+
+def test_scatter_rows_is_bitwise_add_at():
+    rng = np.random.default_rng(3)
+    for n_rows, n in ((5, 1), (7, 40), (99, 300)):
+        index = rng.integers(0, n_rows, n)
+        g = rng.normal(size=(n, 6)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
+        expected = np.zeros((n_rows, 6))
+        np.add.at(expected, index, g)
+        assert nm.scatter_rows(index, g, n_rows).tobytes() == expected.tobytes()
+
+
+def test_feed_forward_is_bitwise_the_unfused_ops():
+    # the in-place GELU keeps the unfused operation order exactly
+    rng = np.random.default_rng(4)
+    x, w1, b1, w2, b2 = (
+        Tensor(rng.normal(size=shape)) for shape in ((37, 5), (5, 9), (9,), (9, 5), (5,))
+    )
+    weights = rng.normal(size=(37, 5))
+    with GradientTape() as tape:
+        fused = nm.feed_forward(x, w1, b1, w2, b2)
+        fused_grads = tape.gradients(nm.weighted_sum(fused, weights), [x, w1, b1, w2, b2])
+    with GradientTape() as tape:
+        plain = nm.linear(nm.gelu(nm.linear(x, w1, b1)), w2, b2)
+        plain_grads = tape.gradients(nm.weighted_sum(plain, weights), [x, w1, b1, w2, b2])
+    assert fused.value.tobytes() == plain.value.tobytes()
+    for a, b in zip(fused_grads, plain_grads):
+        assert a.tobytes() == b.tobytes()

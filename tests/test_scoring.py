@@ -3,7 +3,7 @@ import pytest
 
 from conftest import TINY
 from xtf.data import TokenizedExample
-from xtf.model import init, forward
+from xtf.model import InputError, init, forward
 from xtf.numerics import softmax_value
 from xtf.scoring import (
     ConsistencyError,
@@ -254,3 +254,34 @@ def test_scores_file_round_trip(tmp_path, tiny_params):
         np.testing.assert_array_equal(orig.s_kn, back.s_kn)
         np.testing.assert_array_equal(orig.s_tr, back.s_tr)
         np.testing.assert_array_equal(orig.pcp, back.pcp)
+
+
+def _scores_lines(tiny_params, tmp_path):
+    dataset = [_example([1, 2], [3, 4, 5], "a"), _example([2], [6], "b")]
+    path = tmp_path / "scores.jsonl"
+    save_scores(score_dataset(tiny_params, dataset).scores, path)
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda objs: objs[0].pop("s_kn"),
+        lambda objs: objs.append(dict(objs[0])),  # repeated id
+        lambda objs: objs[1]["pcp"].append(0.5),  # unequal lengths
+        lambda objs: [objs[1].__setitem__(key, []) for key in ("s_ri", "s_kn", "s_tr", "pcp")],
+        lambda objs: objs[0]["s_tr"].__setitem__(1, float("nan")),
+        lambda objs: objs[1].__setitem__("s_ri", "high"),
+        lambda objs: objs[1].__setitem__("id", 7),
+    ],
+    ids=["missing-key", "repeated-id", "unequal-lengths", "empty", "non-finite", "not-a-list", "non-string-id"],
+)
+def test_load_scores_rejects_malformed_files(tmp_path, tiny_params, mangle):
+    import json
+
+    path, lines = _scores_lines(tiny_params, tmp_path)
+    objs = [json.loads(line) for line in lines]
+    mangle(objs)
+    path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+    with pytest.raises(InputError):
+        load_scores(path)

@@ -4,12 +4,15 @@ import pytest
 from conftest import TINY, randomize_params
 from xtf.data import EOS_ID, TokenizedExample, gen_synth, split_records, tokenize
 from xtf.filtering import FilterConfig, NoiseMask
-from xtf.model import ModelConfig, forward, init
+from xtf.model import InputError, ModelConfig, OptState, forward, forward_tensors, init
 from xtf.numerics import ContractError
 from xtf.training import (
     TrainConfig,
+    _epoch_pass,
+    _runs,
     evaluate,
     masked_loss,
+    packed_loss,
     prepare_base,
     run_experiment,
     train,
@@ -128,6 +131,91 @@ def test_evaluate_strips_trailing_eos(tiny_generic_params):
     ex_with = _example([1, 2], [3, 4, EOS_ID])
     ex_without = _example([1, 2], [3, 4])
     assert evaluate(tiny_generic_params, [ex_with]) == evaluate(tiny_generic_params, [ex_without])
+
+
+PACK = ModelConfig(vocab_size=10, d_model=6, n_layers=2, n_heads=2, d_ff=8, max_seq=40, seed=4)
+
+
+def _close(a, b, rel=1e-12):
+    """max |a - b| within `rel` of the largest entry of b."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+
+def _random_run(rng, max_seq, with_masks):
+    """1-8 sequences of mixed lengths (2..max_seq) that fit in max_seq rows."""
+    n = int(rng.integers(1, 9))
+    lengths = rng.integers(2, max_seq // n + 1, n)
+    run, masks = [], []
+    for i, length in enumerate(lengths):
+        n_in = int(rng.integers(1, length))
+        ex = _example(
+            rng.integers(0, PACK.vocab_size, n_in).tolist(),
+            rng.integers(0, PACK.vocab_size, length - n_in).tolist(),
+            f"r{i}",
+        )
+        run.append(ex)
+        flagged = {k for k in range(len(ex.output_ids)) if rng.random() < 0.4} if with_masks else set()
+        masks.append(_mask(ex, flagged) if with_masks else None)
+    return run, masks
+
+
+@pytest.mark.parametrize("with_masks", [False, True])
+def test_packed_loss_equals_sum_of_single_sequence_losses(with_masks):
+    rng = np.random.default_rng(17 + with_masks)
+    params = randomize_params(init(PACK), seed=5)
+    names = params.names()
+    for _ in range(12):
+        run, masks = _random_run(rng, PACK.max_seq, with_masks)
+        loss, grads = packed_loss(params, run, masks)
+        singles = [masked_loss(params, ex, m) for ex, m in zip(run, masks)]
+        assert loss == pytest.approx(sum(l for l, _ in singles), rel=1e-12, abs=0.0)
+        for name, g in zip(names, grads):
+            assert _close(g, sum(gs[name] for _, gs in singles)), name
+
+        tokens = [t for ex in run for t in ex.tokens]
+        logits, _, _ = forward_tensors(params, tokens, [len(ex.tokens) for ex in run])
+        start = 0
+        for ex in run:
+            single = forward(params, ex.tokens).logits
+            assert _close(logits.value[start : start + len(ex.tokens)], single)
+            start += len(ex.tokens)
+
+
+def test_packed_loss_keeps_the_token_checks():
+    params = init(PACK)
+    half = _example([1] * 10, [2] * 11)  # 21 rows: two overflow max_seq 40
+    with pytest.raises(InputError):
+        packed_loss(params, [half, half], [None, None])
+    with pytest.raises(InputError):
+        packed_loss(params, [_example([1, 2], [3]), _example([1, PACK.vocab_size], [3])], [None, None])
+    with pytest.raises(InputError):
+        forward_tensors(params, [1, 2, 3, 4], [2, 1])  # lengths must cover the tokens
+    with pytest.raises(InputError):
+        forward_tensors(params, [1, 2, 3, 4], [4, 0])
+
+
+def test_epoch_pass_step_is_mean_of_per_sample_gradients():
+    # one SGD step at lr 1 moves each weight by minus the per-sample mean
+    # gradient, whatever runs the batch was cut into
+    rng = np.random.default_rng(2)
+    params = randomize_params(init(PACK), seed=6)
+    batch = []
+    for i in range(11):
+        n_in, n_out = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        batch.append(_example(rng.integers(0, 10, n_in).tolist(), rng.integers(0, 10, n_out).tolist(), f"b{i}"))
+    masks = {ex.id: _mask(ex, {0}) for ex in batch[::3]}
+    runs = _runs(batch, PACK.max_seq)
+    assert [ex for run in runs for ex in run] == batch
+    assert len(runs) > 1 and all(sum(len(ex.tokens) for ex in run) <= PACK.max_seq for run in runs)
+
+    cfg = TrainConfig(learning_rate=1.0, epochs=1, batch_size=len(batch), optimizer="sgd")
+    stepped = params.copy()
+    _epoch_pass(stepped, batch, masks, cfg, np.random.default_rng(0), OptState())
+    singles = [masked_loss(params, ex, masks.get(ex.id))[1] for ex in batch]
+    for name in params.names():
+        mean = sum(g[name] for g in singles) / len(batch)
+        assert _close(params[name].value - stepped[name].value, mean, rel=1e-11), name
 
 
 def _tiny_corpus(n=24, seed=0):
