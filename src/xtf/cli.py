@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 
@@ -79,6 +80,16 @@ def _load_params(args, cfg: dict[str, str], seed: int) -> M.ModelParams:
     if getattr(args, "checkpoint", None):
         return M.load_checkpoint(args.checkpoint)
     return M.init(model_config_from(cfg, seed))
+
+
+def _write_csv(path, header: list, rows) -> None:
+    """Write `header` and `rows` as `csv.writer` formats them, through
+    `write_atomic`, so an interrupted run leaves no partial file."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    D.write_atomic(path, buf.getvalue())
 
 
 def cmd_gen_synth(args) -> int:
@@ -158,21 +169,17 @@ def cmd_report(args) -> int:
     for name in ("s_ri", "s_kn", "s_tr", "pcp"):
         pooled = [v for s in scores for v in getattr(s, name)]
         rows = F.histogram_rows(pooled, bins=args.bins)
-        path = os.path.join(args.out_dir, f"hist_{name}.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_left", "bin_right", "count"])
-            writer.writerows(rows)
+        _write_csv(os.path.join(args.out_dir, f"hist_{name}.csv"), ["bin_left", "bin_right", "count"], rows)
     comp = F.complementarity_report(masks)
     D.write_atomic(os.path.join(args.out_dir, "complementarity.json"), json.dumps(comp, indent=2) + "\n")
-    with open(os.path.join(args.out_dir, "complementarity.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["attribute", "marginal"] + [f"after_{b}" for b in F.ATTRIBUTES])
-        for a in F.ATTRIBUTES:
-            row = [a, comp["marginal"][a]]
-            for b in F.ATTRIBUTES:
-                row.append("" if b == a else comp["overlap"][a][b])
-            writer.writerow(row)
+    _write_csv(
+        os.path.join(args.out_dir, "complementarity.csv"),
+        ["attribute", "marginal"] + [f"after_{b}" for b in F.ATTRIBUTES],
+        (
+            [a, comp["marginal"][a]] + ["" if b == a else comp["overlap"][a][b] for b in F.ATTRIBUTES]
+            for a in F.ATTRIBUTES
+        ),
+    )
     if args.data:
         examples = _load_examples(args.data)
         try:
@@ -193,10 +200,8 @@ def cmd_verify_theory(args) -> int:
     print(text)
     if args.sweep:
         rows = T.gain_sweep_rows(args.seed if args.seed is not None else 0)
-        with open(args.sweep, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+        fields = list(rows[0].keys())
+        _write_csv(args.sweep, fields, ([row[k] for k in fields] for row in rows))
     return 0 if report["all_pass"] else 2
 
 

@@ -89,15 +89,6 @@ class ForwardTrace:
     attention: np.ndarray  # (n_layers, n_heads, seq, seq)
     input_embeddings: np.ndarray  # (seq, d_model)
 
-    def validate(self) -> None:
-        rows = self.attention.sum(axis=-1)
-        if not np.allclose(rows, 1.0, atol=1e-9):
-            raise AssertionError("attention rows do not sum to 1")
-        s = self.attention.shape[-1]
-        upper = np.triu_indices(s, k=1)
-        if np.any(self.attention[..., upper[0], upper[1]] != 0.0):
-            raise AssertionError("causal mask violated")
-
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name and shape of every weight, in construction (and checkpoint) order."""

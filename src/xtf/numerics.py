@@ -283,20 +283,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """Normalize over the last axis, then scale and shift."""
     if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
         raise ShapeError("layer_norm: gain/bias must match the last axis")
-    mu = x.value.mean(axis=-1, keepdims=True)
+    # np.add.reduce(...) / n is what `mean` computes, without its wrapper
+    n = x.shape[-1]
+    mu = np.add.reduce(x.value, axis=-1, keepdims=True) / n
     centered = x.value - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     out = Tensor(xhat * gain.value + bias.value)
 
     def bwd(g):
-        n = x.shape[-1]
         g_xhat = g * gain.value
         gx = inv * (
             g_xhat
-            - g_xhat.mean(axis=-1, keepdims=True)
-            - xhat * (g_xhat * xhat).mean(axis=-1, keepdims=True)
+            - np.add.reduce(g_xhat, axis=-1, keepdims=True) / n
+            - xhat * (np.add.reduce(g_xhat * xhat, axis=-1, keepdims=True) / n)
         )
         axes = tuple(range(g.ndim - 1))
         return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)

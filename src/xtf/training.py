@@ -8,7 +8,11 @@ validation exact match.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -293,6 +297,79 @@ def prepare_base(
     return warmup_base(params, examples, train_config, base_epochs)
 
 
+@functools.cache
+def _openblas_threads():
+    """The loaded OpenBLAS's thread-count getter and setter, or None when
+    numpy links another BLAS or the loaded libraries cannot be listed."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and ".so" in ln})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold the loaded OpenBLAS at one thread, then restore its count. With
+    the two arms in two processes on two cores, a second BLAS thread in
+    either would spin on the other's core. Does nothing under other BLAS
+    builds."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+_arm_inputs: tuple = ()  # set only in the worker process, by its initializer
+
+
+def _start_arm_worker(*inputs) -> None:
+    """Initializer of the unmasked arm's worker process. The arm's inputs
+    come with the process itself (inherited under fork, pickled by the
+    starting thread otherwise), so the pool's feeder thread never pickles
+    them. On Linux the kernel kills the worker when the process that started
+    it dies, so a killed experiment leaves no worker blocked on its task
+    queue forever."""
+    global _arm_inputs
+    _arm_inputs = inputs
+    if sys.platform.startswith("linux"):
+        import signal
+
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+
+
+def _unmasked_arm() -> tuple[float, float]:
+    """The unmasked arm of `run_experiment`, run in its worker process:
+    test accuracy and best validation accuracy of a plain fine-tune."""
+    base_params, train_ex, val_ex, test_ex, config = _arm_inputs
+    with _one_blas_thread():
+        normal = train(base_params, train_ex, None, config, val_set=val_ex)
+        return evaluate(normal.params, test_ex), normal.best_val_acc
+
+
 def run_experiment(
     dataset: list[TokenizedExample],
     filter_config: FilterConfig,
@@ -313,6 +390,11 @@ def run_experiment(
     order, so the mask is the only difference. Validation and test labels
     are compared against their de-noised form when ground-truth flags are
     present (synthetic corpora), since the clean label is the actual target.
+
+    The arms share nothing after the base, so the unmasked arm trains in a
+    worker process while this one scores, filters and trains the masked
+    arm, with BLAS held at one thread in both. An error in either process
+    propagates once the worker has finished.
     """
     from .data import DatasetRecord, split_records
 
@@ -326,20 +408,24 @@ def run_experiment(
     if base_params is None:
         base_params = prepare_base(model_config, train_config, base_epochs, train_config.seed)
 
-    score_result = score_dataset(
-        base_params, train_ex, agg=ri_agg, domain_source=domain_source, metric=distance_metric
-    )
-    masks, stats = apply_filters(score_result.scores, filter_config)
-    mask_by_id = {m.id: m for m in masks}
+    from concurrent.futures import ProcessPoolExecutor
 
-    normal = train(base_params.copy(), train_ex, None, train_config, val_set=val_ex)
-    masked = train(base_params.copy(), train_ex, mask_by_id, train_config, val_set=val_ex)
+    arm_inputs = (base_params, train_ex, val_ex, test_ex, train_config)
+    with _one_blas_thread(), ProcessPoolExecutor(1, initializer=_start_arm_worker, initargs=arm_inputs) as pool:
+        normal = pool.submit(_unmasked_arm)
+        score_result = score_dataset(
+            base_params, train_ex, agg=ri_agg, domain_source=domain_source, metric=distance_metric
+        )
+        masks, stats = apply_filters(score_result.scores, filter_config)
+        masked = train(base_params.copy(), train_ex, {m.id: m for m in masks}, train_config, val_set=val_ex)
+        xtf_acc = evaluate(masked.params, test_ex)
+        normal_acc, normal_val_acc = normal.result()
 
     report = {
         "seed": train_config.seed,
-        "normal_acc": evaluate(normal.params, test_ex),
-        "xtf_acc": evaluate(masked.params, test_ex),
-        "normal_val_acc": normal.best_val_acc,
+        "normal_acc": normal_acc,
+        "xtf_acc": xtf_acc,
+        "normal_val_acc": normal_val_acc,
         "xtf_val_acc": masked.best_val_acc,
         "filtered_fraction": stats.flagged_tokens / stats.total_tokens if stats.total_tokens else 0.0,
         "per_attribute_counts": stats.per_attribute_counts,

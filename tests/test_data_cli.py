@@ -262,9 +262,22 @@ def test_cli_rejects_bad_artifacts_with_one_line(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not masks.exists()
 
+    scores.write_text("\n".join(lines) + "\n")
+    assert _run(["filter", "--scores", str(scores), "--out", str(masks)]) == 0
+    mask_lines = masks.read_text().splitlines()
+    masks.write_text(
+        "\n".join([json.dumps({k: v for k, v in json.loads(mask_lines[0]).items() if k != "sources"})] + mask_lines[1:])
+        + "\n"
+    )
+    ckpt = tmp_path / "model.ckpt"
+    capsys.readouterr()
+    assert _run(["train", "--data", str(data), "--masks", str(masks), "--config", str(cfg), "--out", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sources" in err and err.count("\n") == 1
+    assert not ckpt.exists()
+
     from xtf.model import ModelConfig, init, save_checkpoint
 
-    ckpt = tmp_path / "model.ckpt"
     save_checkpoint(init(ModelConfig()), ckpt)
     blob = ckpt.read_bytes()
     for bad in (blob + b"JUNKJUNK", blob[:20]):
@@ -357,3 +370,60 @@ def test_cli_verify_theory_smoke(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["all_pass"] is True
     assert any(c["name"].startswith("alignment_gain") for c in payload["checks"])
+
+
+def _csv_bytes_by_open(path, header, rows):
+    """The CSV bytes a plain `open(newline="")` plus `csv.writer` gives."""
+    import csv
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def test_cli_csv_writes_are_atomic_and_unchanged(tmp_path, capsys, monkeypatch):
+    from xtf import data as D
+    from xtf import filtering as F
+    from xtf import scoring as S
+    from xtf import theory as T
+
+    atomic = []
+    plain_write_atomic = D.write_atomic
+
+    def recording_write_atomic(path, data):
+        atomic.append(os.path.basename(path))
+        plain_write_atomic(path, data)
+
+    monkeypatch.setattr(D, "write_atomic", recording_write_atomic)
+
+    data = tmp_path / "data.jsonl"
+    scores = tmp_path / "scores.jsonl"
+    masks = tmp_path / "masks.jsonl"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d_model = 16\nn_layers = 1\nn_heads = 2\nd_ff = 24\n")
+    assert _run(["gen-synth", "--size", "20", "--noise-rate", "0.25", "--seed", "3", "--out", str(data)]) == 0
+    assert _run(["score", "--data", str(data), "--config", str(cfg), "--seed", "3", "--out", str(scores)]) == 0
+    assert _run(["filter", "--scores", str(scores), "--out", str(masks)]) == 0
+    out_dir = tmp_path / "reports"
+    assert _run(["report", "--scores", str(scores), "--masks", str(masks), "--bins", "8", "--out-dir", str(out_dir)]) == 0
+    sweep = out_dir / "sweep.csv"
+    assert _run(["verify-theory", "--seed", "7", "--sweep", str(sweep)]) == 0
+
+    ref = tmp_path / "ref.csv"
+    loaded = S.load_scores(scores)
+    for name in ("s_ri", "s_kn", "s_tr", "pcp"):
+        rows = F.histogram_rows([v for s in loaded for v in getattr(s, name)], bins=8)
+        want = _csv_bytes_by_open(ref, ["bin_left", "bin_right", "count"], rows)
+        assert (out_dir / f"hist_{name}.csv").read_bytes() == want
+    comp = F.complementarity_report(F.load_masks(masks))
+    rows = [[a, comp["marginal"][a]] + ["" if b == a else comp["overlap"][a][b] for b in F.ATTRIBUTES] for a in F.ATTRIBUTES]
+    want = _csv_bytes_by_open(ref, ["attribute", "marginal"] + [f"after_{b}" for b in F.ATTRIBUTES], rows)
+    assert (out_dir / "complementarity.csv").read_bytes() == want
+    rows = T.gain_sweep_rows(7)
+    want = _csv_bytes_by_open(ref, list(rows[0]), [list(r.values()) for r in rows])
+    assert sweep.read_bytes() == want
+    csvs = [f"hist_{n}.csv" for n in ("s_ri", "s_kn", "s_tr", "pcp")] + ["complementarity.csv", "sweep.csv"]
+    assert set(csvs) <= set(atomic)
+    assert sorted(os.listdir(out_dir)) == sorted(csvs + ["complementarity.json"])  # no temporary left

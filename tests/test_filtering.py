@@ -22,6 +22,7 @@ from xtf.filtering import (
     save_stats,
     union_mask,
 )
+from xtf.model import InputError
 from xtf.scoring import TokenScores
 
 
@@ -342,6 +343,36 @@ def test_mask_file_round_trip(tmp_path):
     assert [m.id for m in loaded] == ["a", "b"]
     assert loaded[0].noise == [True, False]
     assert loaded[0].sources == [("RI", "TR"), ()]
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda objs: objs[0].pop("id"),
+        lambda objs: objs[0].pop("noise"),
+        lambda objs: objs[1].pop("sources"),
+        lambda objs: objs[1].__setitem__("id", 7),
+        lambda objs: objs[0]["sources"].append([]),  # more sources than flags
+        lambda objs: objs[0]["noise"].__setitem__(1, 0),  # 0 is not a bool
+        lambda objs: objs[0].__setitem__("sources", "RI"),
+        lambda objs: objs.append(dict(objs[0])),  # repeated id
+        lambda objs: objs.append([1, 2]),  # a line that is not an object
+    ],
+    ids=[
+        "missing-id", "missing-noise", "missing-sources", "non-string-id", "unequal-lengths",
+        "non-bool-flag", "sources-not-lists", "repeated-id", "not-an-object",
+    ],
+)
+def test_load_masks_rejects_malformed_files(tmp_path, mangle):
+    objs = [
+        {"id": "a", "noise": [True, False], "sources": [["RI", "TR"], []]},
+        {"id": "b", "noise": [False], "sources": [[]]},
+    ]
+    mangle(objs)
+    path = tmp_path / "masks.jsonl"
+    path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+    with pytest.raises(InputError):
+        load_masks(path)
 
 
 def test_stats_file_is_json(tmp_path):

@@ -162,6 +162,39 @@ def test_layer_norm_matches_finite_differences():
     assert err <= 1e-6
 
 
+def _layer_norm_by_mean(x, gain, bias, g, eps=1e-5):
+    """The layer norm and its backward written with `mean`, as the oracle
+    for the ufunc-reduce form."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    g_xhat = g * gain
+    gx = inv * (
+        g_xhat - g_xhat.mean(axis=-1, keepdims=True) - xhat * (g_xhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    axes = tuple(range(g.ndim - 1))
+    return xhat * gain + bias, [gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)]
+
+
+def test_layer_norm_is_bitwise_the_mean_formula():
+    rng = np.random.default_rng(11)
+    for _ in range(120):
+        shape = (int(rng.integers(1, 130)), int(rng.choice([6, 33, 64, 65])))
+        x = Tensor(rng.normal(scale=rng.uniform(0.1, 10.0), size=shape))
+        gain = Tensor(1.0 + rng.normal(scale=0.3, size=shape[1]))
+        bias = Tensor(rng.normal(scale=0.3, size=shape[1]))
+        weights = rng.normal(size=shape)
+        with GradientTape() as tape:
+            out = nm.layer_norm(x, gain, bias)
+            grads = tape.gradients(nm.weighted_sum(out, weights), [x, gain, bias])
+        want, want_grads = _layer_norm_by_mean(x.value, gain.value, bias.value, weights)
+        assert out.value.tobytes() == want.tobytes(), shape
+        for a, b in zip(grads, want_grads):
+            assert a.tobytes() == b.tobytes(), shape
+
+
 def test_gather_rows_accumulates_repeated_ids():
     table = Tensor(np.arange(12.0).reshape(4, 3))
     ids = np.array([1, 1, 2])

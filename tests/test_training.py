@@ -1,7 +1,16 @@
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import TINY, randomize_params
+from xtf import training
 from xtf.data import EOS_ID, TokenizedExample, gen_synth, split_records, tokenize
 from xtf.filtering import FilterConfig, NoiseMask
 from xtf.model import InputError, ModelConfig, OptState, forward, forward_tensors, init
@@ -315,6 +324,119 @@ def test_run_experiment_reports_required_fields():
         assert key in report
     assert 0.0 <= report["filtered_fraction"] <= 1.0
     assert "filter_quality" in report  # synthetic corpus carries ground truth
+
+
+COPY_TRAIN = TrainConfig(learning_rate=1e-2, epochs=3, batch_size=8, optimizer="adam", seed=1)
+COPY_MODEL = ModelConfig(d_model=32, n_layers=1, n_heads=2, d_ff=64, seed=9)
+
+
+def _copy_experiment(records, split_counts=(100, 10, 10)):
+    return run_experiment(
+        [tokenize(r) for r in records],
+        FilterConfig(enabled=("KN",)),
+        COPY_TRAIN,
+        model_config=COPY_MODEL,
+        base_epochs=0,
+        split_counts=split_counts,
+    )
+
+
+def test_run_experiment_unmasked_arm_equals_sequential_train():
+    # the worker's arm is the same arithmetic as training it in this process
+    records = gen_synth("copy", 120, 0.0, 3)
+    report = _copy_experiment(records)
+    examples = {r.id: tokenize(r) for r in records}
+    tr, va, te = ([examples[r.id] for r in part] for part in split_records(records, counts=(100, 10, 10)))
+    normal = train(init(COPY_MODEL), tr, None, COPY_TRAIN, val_set=va)
+    assert report["normal_acc"] == evaluate(normal.params, te)
+    assert report["normal_val_acc"] == normal.best_val_acc
+    assert 0.0 < report["normal_acc"] < 1.0 and 0.0 < report["normal_val_acc"]  # not a trivial tie
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the worker by fork")
+def test_run_experiment_raises_the_worker_error(monkeypatch):
+    plain_train = training.train
+
+    def failing_unmasked_train(params, dataset, masks, config, val_set=None):
+        if masks is None:
+            raise RuntimeError("unmasked arm failed")
+        return plain_train(params, dataset, masks, config, val_set=val_set)
+
+    monkeypatch.setattr(training, "train", failing_unmasked_train)
+    with pytest.raises(RuntimeError, match="unmasked arm failed"):
+        _copy_experiment(gen_synth("copy", 120, 0.0, 3))
+    assert multiprocessing.active_children() == []
+
+
+def test_run_experiment_raises_the_parent_error():
+    # an empty test split makes evaluate raise in both processes
+    with pytest.raises(ValueError, match="non-empty"):
+        _copy_experiment(gen_synth("copy", 120, 0.0, 3), split_counts=(110, 10, 0))
+    assert multiprocessing.active_children() == []
+
+
+_KILL_DURING_EXPERIMENT = """
+import multiprocessing, os, signal, time
+from xtf import training
+from xtf.data import gen_synth, tokenize
+from xtf.filtering import FilterConfig
+from xtf.model import ModelConfig
+
+def killed_score_dataset(*args, **kwargs):
+    time.sleep(0.5)  # time for the worker to run its initializer
+    print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+training.score_dataset = killed_score_dataset
+training.run_experiment(
+    [tokenize(r) for r in gen_synth("copy", 120, 0.0, 3)],
+    FilterConfig(enabled=("KN",)),
+    training.TrainConfig(epochs=500, seed=1),
+    model_config=ModelConfig(d_model=16, n_layers=1, n_heads=2, d_ff=24, seed=9),
+    base_epochs=0,
+    split_counts=(100, 10, 10),
+)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the worker's parent-death signal is Linux-only")
+def test_run_experiment_worker_dies_with_a_killed_parent(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "out.txt"
+    # a file, not a pipe: a surviving worker would hold a pipe open
+    with open(out, "w") as fh:
+        code = subprocess.run([sys.executable, "-c", _KILL_DURING_EXPERIMENT], stdout=fh, stderr=fh, env=env, timeout=120).returncode
+    assert code == -signal.SIGKILL, out.read_text()
+    (pid,) = [int(p) for p in out.read_text().split()]
+
+    def alive():
+        try:
+            state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[-1].split()[0]
+        except FileNotFoundError:
+            return False
+        return state != "Z"  # an orphan's zombie waits for whoever adopted it
+
+    deadline = time.monotonic() + 10.0
+    while alive() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if alive():
+        os.kill(pid, signal.SIGKILL)
+        pytest.fail("the worker outlived its parent")
+
+
+def test_one_blas_thread_pins_and_restores():
+    threads = training._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy does not link OpenBLAS here")
+    get, set_ = threads
+    before = get()
+    set_(2)
+    try:
+        with training._one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+    finally:
+        set_(before)
 
 
 def test_prepare_base_deterministic():
