@@ -140,6 +140,10 @@ def cmd_train(args) -> int:
     masks = None
     if args.masks:
         masks = {m.id: m for m in F.load_masks(args.masks)}
+        ids = {ex.id for ex in examples}
+        unknown = next((mid for mid in masks if mid not in ids), None)
+        if unknown is not None:
+            raise S.ConsistencyError(f"{args.masks}: mask id {unknown!r} names no example in {args.data}")
     config = train_config_from(cfg, D.subseed(seed, "shuffle"))
     result = TR.train(params, examples, masks, config)
     M.save_checkpoint(result.params, args.out)
@@ -183,8 +187,8 @@ def cmd_report(args) -> int:
     if args.data:
         examples = _load_examples(args.data)
         try:
-            quality = D.filter_quality(masks, examples)
-        except D.UnsupportedOperation as exc:
+            quality = F.filter_quality(masks, examples)
+        except F.UnsupportedOperation as exc:
             print(f"no quality report: {exc}", file=sys.stderr)
         else:
             D.write_atomic(os.path.join(args.out_dir, "quality.json"), json.dumps(quality, indent=2) + "\n")
@@ -308,7 +312,7 @@ def main(argv=None) -> int:
     except (
         FileNotFoundError,
         D.IngestionError,
-        D.UnsupportedOperation,
+        F.UnsupportedOperation,
         M.InputError,
         M.ConfigError,
         S.ConsistencyError,

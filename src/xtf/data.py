@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -230,7 +230,8 @@ def _id_rank(sample_id: str) -> str:
 
 
 def split_records(records, counts: tuple[int, int, int] | None = None, fractions=(0.8, 0.1, 0.1)):
-    """Split by rank of hash(id): deterministic, id-driven, exact sizes.
+    """Split records (anything with an `id`) by rank of hash(id):
+    deterministic, id-driven, exact sizes.
 
     `counts` pins exact (train, val, test) sizes; otherwise sizes come from
     `fractions` of the total.
@@ -302,24 +303,50 @@ def save_dataset(records, path) -> None:
     write_atomic(path, "\n".join(lines) + "\n")
 
 
+# optional record fields: the type a present value must have, and the exact
+# type of each item when it is a list
+_FIELD_TYPES = {
+    "input_text": (str, None),
+    "output_text": (str, None),
+    "input_ids": (list, int),
+    "output_ids": (list, int),
+    "noise": (list, bool),
+}
+
+
 def load_dataset(path) -> list[DatasetRecord]:
+    """Read a dataset file. Each line must be a JSON object with a string
+    id that no other line has, and text fields, id fields and noise flags
+    of the right types; otherwise IngestionError."""
     records = []
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            records.append(
-                DatasetRecord(
-                    id=obj["id"],
-                    input_text=obj.get("input_text"),
-                    output_text=obj.get("output_text"),
-                    input_ids=obj.get("input_ids"),
-                    output_ids=obj.get("output_ids"),
-                    noise=obj.get("noise"),
-                )
-            )
+            where = f"{path}:{lineno}"
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise IngestionError(f"{where}: {exc}") from None
+            if not isinstance(obj, dict):
+                raise IngestionError(f"{where}: not a JSON object")
+            rid = obj.get("id")
+            if not isinstance(rid, str):
+                raise IngestionError(f"{where}: id {rid!r} is missing or not a string")
+            if rid in seen:
+                raise IngestionError(f"{where}: id {rid!r} appears more than once")
+            fields = {key: obj.get(key) for key in _FIELD_TYPES}
+            for key, (kind, item) in _FIELD_TYPES.items():
+                value = fields[key]
+                if value is not None and not (
+                    isinstance(value, kind) and (item is None or all(type(x) is item for x in value))
+                ):
+                    what = kind.__name__ if item is None else f"{kind.__name__} of {item.__name__}s"
+                    raise IngestionError(f"{where}: {key} of {rid!r} is not a {what}")
+            seen.add(rid)
+            records.append(DatasetRecord(rid, **fields))
     return records
 
 
@@ -340,55 +367,3 @@ def parse_config_text(text: str) -> dict[str, str]:
 def load_config(path) -> dict[str, str]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
-
-
-# ---------------------------------------------------------------------------
-# Filter quality against synthetic ground truth
-# ---------------------------------------------------------------------------
-
-
-class UnsupportedOperation(RuntimeError):
-    pass
-
-
-def filter_quality(masks, examples) -> dict:
-    """Precision/recall of noise masks against ground-truth flags.
-
-    Empty predictions score precision 1 by convention. Per-attribute rows
-    treat "flagged with attribute A among its sources" as that attribute's
-    prediction.
-    """
-    by_id = {ex.id: ex for ex in examples}
-    if not any(ex.noise is not None for ex in by_id.values()):
-        raise UnsupportedOperation("dataset carries no ground-truth noise flags")
-
-    def prf(tp: int, fp: int, fn: int) -> dict:
-        precision = 1.0 if tp + fp == 0 else tp / (tp + fp)
-        recall = 0.0 if tp + fn == 0 else tp / (tp + fn)
-        return {"tp": tp, "fp": fp, "fn": fn, "precision": precision, "recall": recall}
-
-    overall = {"tp": 0, "fp": 0, "fn": 0}
-    per_attr = {a: {"tp": 0, "fp": 0, "fn": 0} for a in ("RI", "KN", "TR")}
-    for mask in masks:
-        ex = by_id.get(mask.id)
-        if ex is None or ex.noise is None:
-            continue
-        for truth, flagged, sources in zip(ex.noise, mask.noise, mask.sources):
-            if flagged and truth:
-                overall["tp"] += 1
-            elif flagged:
-                overall["fp"] += 1
-            elif truth:
-                overall["fn"] += 1
-            for attr in ("RI", "KN", "TR"):
-                hit = attr in sources
-                if hit and truth:
-                    per_attr[attr]["tp"] += 1
-                elif hit:
-                    per_attr[attr]["fp"] += 1
-                elif truth:
-                    per_attr[attr]["fn"] += 1
-    report = {"overall": prf(**overall)}
-    for attr, c in per_attr.items():
-        report[attr] = prf(**c)
-    return report

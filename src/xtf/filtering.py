@@ -57,7 +57,6 @@ class NoiseMask:
 
 @dataclass
 class FilterStats:
-    ri_fences: dict[str, tuple[float, float, float]] = field(default_factory=dict)  # id -> (Q1, Q3, tau)
     otsu_thresholds: tuple[float, ...] | None = None
     otsu_between_var: float = 0.0
     otsu_class_means: list[float] = field(default_factory=list)
@@ -122,44 +121,46 @@ def multi_otsu(values, k: int = 3, bins: int = 256) -> OtsuResult:
     counts, edges = np.histogram(arr, bins=bins, range=(vmin, vmax))
     centers = (edges[:-1] + edges[1:]) / 2.0
     p = counts / counts.sum()
-    # prefix[i] = sum over bins < i ; python lists are faster to index in the loop
-    w_prefix = [0.0]
-    m_prefix = [0.0]
-    for i in range(bins):
-        w_prefix.append(w_prefix[-1] + p[i])
-        m_prefix.append(m_prefix[-1] + p[i] * centers[i])
+    # prefix[i] = sum over bins < i, accumulated in bin order
+    w_prefix = np.concatenate(([0.0], np.cumsum(p)))
+    m_prefix = np.concatenate(([0.0], np.cumsum(p * centers)))
     mu_total = m_prefix[-1]
 
-    def between_var(cuts) -> float:
-        sigma = 0.0
-        lo = 0
-        for j in range(k):
-            hi = cuts[j] + 1 if j < k - 1 else bins
-            w = w_prefix[hi] - w_prefix[lo]
-            if w > 0.0:
-                mu = (m_prefix[hi] - m_prefix[lo]) / w
-                diff = mu - mu_total
-                sigma += w * diff * diff
-            lo = hi
-        return sigma
+    def class_var(lo, hi):
+        """w (mu - mu_total)^2 of the class of bins [lo, hi), 0 if empty;
+        `lo` and `hi` may be index arrays."""
+        w = w_prefix[hi] - w_prefix[lo]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            diff = (m_prefix[hi] - m_prefix[lo]) / w - mu_total
+        return np.where(w > 0.0, w * diff * diff, 0.0)
 
-    # two passes: find the maximum, then take the lexicographically first
-    # tuple within a relative roundoff band of it. Partitions that are
-    # identical as set partitions (cuts through empty bins) give the same
-    # variance only up to float roundoff, so ties need the tolerance.
-    best_sigma = -1.0
-    for cuts in combinations(range(bins - 1), k - 1):
-        sigma = between_var(cuts)
-        if sigma > best_sigma:
-            best_sigma = sigma
+    def last_cut_vars(lead: tuple[int, ...]) -> np.ndarray:
+        """Between-class variance of `lead` plus each possible last cut,
+        summed class by class from the lowest."""
+        sigma, lo = 0.0, 0
+        for c in lead:
+            sigma = sigma + class_var(lo, c + 1)
+            lo = c + 1
+        hi = np.arange(lo + 1, bins)
+        return sigma + class_var(lo, hi) + class_var(hi, bins)
+
+    # The leading k-2 cuts run in lexicographic order and the last cut is a
+    # vector, so the concatenation is in lexicographic order. Take its first
+    # tuple within a relative roundoff band of the maximum: partitions equal
+    # as set partitions (cuts through empty bins) differ only by roundoff.
+    leads = list(combinations(range(bins - 2), k - 2))
+    per_lead = [last_cut_vars(lead) for lead in leads]
+    sigmas = np.concatenate(per_lead)
+    best_sigma = sigmas.max()
     tol = 1e-12 * max(1.0, best_sigma)
-    best_cuts: tuple[int, ...] | None = None
-    for cuts in combinations(range(bins - 1), k - 1):
-        if between_var(cuts) >= best_sigma - tol:
-            best_cuts = cuts
+    idx = int(np.argmax(sigmas >= best_sigma - tol))
+    rest = idx
+    for lead, row in zip(leads, per_lead):
+        if rest < row.size:
             break
-    thresholds = tuple(float(edges[c + 1]) for c in best_cuts)
-    return OtsuResult(thresholds, between_var(best_cuts))
+        rest -= row.size
+    cuts = lead + ((lead[-1] + 1 if lead else 0) + rest,)
+    return OtsuResult(tuple(float(edges[c + 1]) for c in cuts), sigmas[idx])
 
 
 def otsu_classify(values, thresholds) -> np.ndarray:
@@ -235,12 +236,7 @@ def apply_filters(scores: list[TokenScores], config: FilterConfig) -> tuple[list
 
     masks: list[NoiseMask] = []
     for s in scores:
-        if "RI" in config.enabled:
-            ri_set = filter_ri(s.s_ri)
-            q1, q3 = quantile(s.s_ri, 25.0), quantile(s.s_ri, 75.0)
-            stats.ri_fences[s.id] = (q1, q3, q1 - (q3 - q1))
-        else:
-            ri_set = set()
+        ri_set = filter_ri(s.s_ri) if "RI" in config.enabled else set()
         kn_set = filter_kn(s.s_kn, config.kn_cutoff) if "KN" in config.enabled else set()
         mask = union_mask(ri_set, kn_set, tr_sets[s.id], s.n_tokens(), s.id)
         masks.append(mask)
@@ -279,6 +275,38 @@ def complementarity_report(masks: list[NoiseMask]) -> dict:
         for a in ATTRIBUTES
     }
     return {"total_tokens": total, "marginal": marginal, "overlap": overlap}
+
+
+class UnsupportedOperation(RuntimeError):
+    """The data cannot support the requested report."""
+
+
+def filter_quality(masks, examples) -> dict:
+    """Precision/recall of noise masks against ground-truth flags.
+
+    Empty predictions score precision 1 by convention. Per-attribute rows
+    treat "flagged with attribute A among its sources" as that attribute's
+    prediction.
+    """
+    by_id = {ex.id: ex for ex in examples}
+    if not any(ex.noise is not None for ex in by_id.values()):
+        raise UnsupportedOperation("dataset carries no ground-truth noise flags")
+
+    def prf(tp: int, fp: int, fn: int) -> dict:
+        precision = 1.0 if tp + fp == 0 else tp / (tp + fp)
+        recall = 0.0 if tp + fn == 0 else tp / (tp + fn)
+        return {"tp": tp, "fp": fp, "fn": fn, "precision": precision, "recall": recall}
+
+    counts = {key: {"tp": 0, "fp": 0, "fn": 0} for key in ("overall", *ATTRIBUTES)}
+    for mask in masks:
+        ex = by_id.get(mask.id)
+        if ex is None or ex.noise is None:
+            continue
+        for truth, flagged, sources in zip(ex.noise, mask.noise, mask.sources):
+            for key, hit in (("overall", flagged), *((a, a in sources) for a in ATTRIBUTES)):
+                if hit or truth:
+                    counts[key]["tp" if hit and truth else "fp" if hit else "fn"] += 1
+    return {key: prf(**c) for key, c in counts.items()}
 
 
 def histogram_rows(values, bins: int = 64) -> list[tuple[float, float, int]]:

@@ -1,6 +1,7 @@
-"""A minimal decoder-only transformer exposing the three probes the scorers
-need: per-layer/head attention maps, next-token probabilities, and the raw
-context-free embedding table. Also hosts the optimizer and checkpoint IO.
+"""A minimal decoder-only transformer whose forward pass returns a trace of
+logits, per-layer/head attention maps and input embeddings, which the
+scorers read along with the raw embedding table. Also hosts the optimizer
+and checkpoint IO.
 
 Architecture: pre-norm residual blocks, learned positions, output head tied
 to the embedding table (untie via config), and a terminal norm before the
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import numerics as nm
 from .data import write_atomic
-from .numerics import GradientTape, Tensor
+from .numerics import Tensor
 
 
 class ConfigError(ValueError):
@@ -261,36 +262,6 @@ def forward(params: ModelParams, tokens) -> ForwardTrace:
         attention=np.stack(attn_maps),
         input_embeddings=input_emb,
     )
-
-
-def next_token_probs(params: ModelParams, prefix) -> np.ndarray:
-    """Softmax over the vocabulary at the final position of `prefix`."""
-    trace = forward(params, prefix)
-    return nm.softmax_value(trace.logits[-1])
-
-
-def embed(params: ModelParams, token_id: int) -> np.ndarray:
-    """Context-free embedding: the raw token-table row (no position added)."""
-    if not 0 <= token_id < params.config.vocab_size:
-        raise InputError(f"token id {token_id} out of vocabulary")
-    return params["tok_emb"].value[token_id].copy()
-
-
-def greedy_generate(params: ModelParams, prefix, max_new: int, stop_id: int | None = None) -> list[int]:
-    """Argmax decoding (ties go to the lowest token id). Returns the newly
-    generated tokens, excluding the stop token itself."""
-    seq = list(prefix)
-    out: list[int] = []
-    for _ in range(max_new):
-        if len(seq) >= params.config.max_seq:
-            break
-        trace = forward(params, seq)
-        nxt = int(np.argmax(trace.logits[-1]))
-        if stop_id is not None and nxt == stop_id:
-            break
-        seq.append(nxt)
-        out.append(nxt)
-    return out
 
 
 # ---------------------------------------------------------------------------

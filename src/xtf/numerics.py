@@ -134,30 +134,19 @@ class GradientTape:
         return out
 
 
-def backward(loss: Tensor, tape: GradientTape, params: Sequence[Tensor]) -> list[np.ndarray]:
-    """Replay `tape` in reverse; one gradient array per tensor in `params`."""
-    return tape.gradients(loss, params)
-
-
-def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
+def record_op(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
+    """Record `out` with its backward on the active tape, if any; fused ops
+    outside this module register through it too."""
     tape = GradientTape.current()
     if tape is not None:
         tape.record(out, inputs, backward_fn)
     return out
 
 
-# custom fused ops elsewhere register their backward through this
-record_op = _record
-
-
 # ---------------------------------------------------------------------------
 # Op set. Each op computes the float64 forward value and, when a tape is
 # active, records a closure producing input gradients from the output grad.
 # ---------------------------------------------------------------------------
-
-
-def constant(value) -> Tensor:
-    return Tensor(value)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -173,25 +162,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             gb = g.sum(axis=reduce_axes)
         return g, gb
 
-    return _record(out, (a, b), bwd)
-
-
-def add_const(a: Tensor, const: np.ndarray) -> Tensor:
-    """Add a non-differentiable array (e.g. an attention mask)."""
-    out = Tensor(a.value + const)
-    return _record(out, (a,), lambda g: (g,))
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.value * c)
-    return _record(out, (a,), lambda g: (g * c,))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
-    out = Tensor(a.value * b.value)
-    return _record(out, (a, b), lambda g: (g * b.value, g * a.value))
+    return record_op(out, (a, b), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -207,18 +178,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         return g @ b.value.swapaxes(-1, -2), a.value.swapaxes(-1, -2) @ g
 
-    return _record(out, (a, b), bwd)
+    return record_op(out, (a, b), bwd)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     out = Tensor(np.ascontiguousarray(a.value.transpose(axes)))
     inv = np.argsort(axes)
-    return _record(out, (a,), lambda g: (g.transpose(inv),))
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(a.value.reshape(shape))
-    return _record(out, (a,), lambda g: (g.reshape(a.value.shape),))
+    return record_op(out, (a,), lambda g: (g.transpose(inv),))
 
 
 def scatter_rows(index: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
@@ -229,54 +195,6 @@ def scatter_rows(index: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
     d = g.shape[1]
     flat = (index[:, None] * d + np.arange(d)).ravel()
     return np.bincount(flat, weights=g.ravel(), minlength=n_rows * d).reshape(n_rows, d)
-
-
-def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup `table[ids]`; backward scatter-adds into the table."""
-    ids = np.asarray(ids, dtype=np.intp)
-    out = Tensor(table.value[ids])
-
-    def bwd(g):
-        gt = np.zeros_like(table.value)
-        np.add.at(gt, ids, g)
-        return (gt,)
-
-    return _record(out, (table,), bwd)
-
-
-def slice_rows(a: Tensor, n: int) -> Tensor:
-    out = Tensor(a.value[:n])
-
-    def bwd(g):
-        ga = np.zeros_like(a.value)
-        ga[:n] = g
-        return (ga,)
-
-    return _record(out, (a,), bwd)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Stabilized softmax along `axis`; the canonical implementation shared
-    by the model and all scoring code."""
-    a.check_finite("softmax input")
-    out = Tensor(softmax_value(a.value, axis=axis))
-
-    def bwd(g):
-        w = out.value
-        return (w * (g - np.sum(w * g, axis=axis, keepdims=True)),)
-
-    return _record(out, (a,), bwd)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a.check_finite("log_softmax input")
-    out = Tensor(log_softmax_value(a.value, axis=axis))
-
-    def bwd(g):
-        w = np.exp(out.value)
-        return (g - w * np.sum(g, axis=axis, keepdims=True),)
-
-    return _record(out, (a,), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -302,26 +220,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         axes = tuple(range(g.ndim - 1))
         return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
-    return _record(out, (x, gain, bias), bwd)
+    return record_op(out, (x, gain, bias), bwd)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
-
-
-def gelu(a: Tensor) -> Tensor:
-    """Smooth (tanh-form) GELU; smoothness keeps finite-difference checks tight."""
-    x = a.value
-    x_sq = x * x
-    inner = _GELU_C * (x + 0.044715 * x_sq * x)
-    t = np.tanh(inner)
-    out = Tensor(0.5 * x * (1.0 + t))
-
-    def bwd(g):
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x_sq)
-        gx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-        return (g * gx,)
-
-    return _record(out, (a,), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -333,7 +235,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         return g @ w.value.T, x.value.T @ g, g.sum(axis=0)
 
-    return _record(out, (x, w, b), bwd)
+    return record_op(out, (x, w, b), bwd)
 
 
 def embed_positions(table: Tensor, positions: Tensor, ids: np.ndarray, pos_ids: np.ndarray | None = None) -> Tensor:
@@ -348,15 +250,15 @@ def embed_positions(table: Tensor, positions: Tensor, ids: np.ndarray, pos_ids: 
     def bwd(g):
         return scatter_rows(ids, g, table.shape[0]), scatter_rows(pos_ids, g, positions.shape[0])
 
-    return _record(out, (table, positions), bwd)
+    return record_op(out, (table, positions), bwd)
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Fused two-layer block with the smooth (tanh-form) GELU between.
 
-    The GELU and its derivative are evaluated in place, in the same operation
-    order as `gelu`, so packed streams of many rows keep their temporaries few
-    and the result is bitwise that of the unfused ops."""
+    The GELU and its derivative are evaluated in place, in the operation
+    order of the unfused GELU, so packed streams of many rows keep their
+    temporaries few and the result is bitwise that of the unfused ops."""
     pre = x.value @ w1.value
     pre += b1.value
     t = pre * pre
@@ -395,21 +297,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
             g.sum(axis=0),
         )
 
-    return _record(Tensor(y), (x, w1, b1, w2, b2), bwd)
-
-
-def pick(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """Select entries a[rows[i], cols[i]] into a vector."""
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    out = Tensor(a.value[rows, cols])
-
-    def bwd(g):
-        ga = np.zeros_like(a.value)
-        np.add.at(ga, (rows, cols), g)
-        return (ga,)
-
-    return _record(out, (a,), bwd)
+    return record_op(Tensor(y), (x, w1, b1, w2, b2), bwd)
 
 
 def sequence_nll(logits: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
@@ -429,7 +317,7 @@ def sequence_nll(logits: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
         probs[np.arange(rows.size), cols] -= 1.0
         return (scatter_rows(rows, g * probs, logits.shape[0]),)
 
-    return _record(out, (logits,), bwd)
+    return record_op(out, (logits,), bwd)
 
 
 def weighted_sum(a: Tensor, weights: np.ndarray) -> Tensor:
@@ -438,13 +326,7 @@ def weighted_sum(a: Tensor, weights: np.ndarray) -> Tensor:
     if w.shape != a.shape:
         raise ShapeError(f"weighted_sum: weights shape {w.shape} != {a.shape}")
     out = Tensor(float(np.sum(a.value * w)))
-    return _record(out, (a,), lambda g: (g * w,))
-
-
-def total(a: Tensor) -> Tensor:
-    """Scalar sum of all entries."""
-    out = Tensor(float(a.value.sum()))
-    return _record(out, (a,), lambda g: (np.broadcast_to(g, a.value.shape).copy(),))
+    return record_op(out, (a,), lambda g: (g * w,))
 
 
 # ---------------------------------------------------------------------------
@@ -453,24 +335,11 @@ def total(a: Tensor) -> Tensor:
 
 
 def softmax_value(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stabilized softmax on a raw array."""
-    m = np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def log_softmax_value(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    m = np.max(x, axis=axis, keepdims=True)
-    shifted = x - m
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
-def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """max |analytic - numeric| / (|analytic| + |numeric| + 1e-12)."""
-    a = np.asarray(analytic, dtype=np.float64)
-    n = np.asarray(numeric, dtype=np.float64)
-    denom = np.abs(a) + np.abs(n) + 1e-12
-    return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
+    """Stabilized softmax on a raw array. The ufunc reductions are what
+    `np.max`/`np.sum` compute, without their wrappers, which cost more than
+    the arithmetic on the small vectors of the theory lab."""
+    e = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
 def finite_diff_check(

@@ -84,19 +84,6 @@ def _kn_from_trace(trace: ForwardTrace, example: TokenizedExample) -> tuple[np.n
     return pcp, 1.0 - pcp
 
 
-def score_ri(params: ModelParams, example: TokenizedExample, agg: str = "mean") -> np.ndarray:
-    trace = forward(params, example.tokens)
-    return _ri_from_trace(trace, example.l_input, len(example.output_ids), agg)
-
-
-def score_kn(params: ModelParams, example: TokenizedExample) -> tuple[np.ndarray, np.ndarray]:
-    """Teacher-forced (pcp, s_kn) with s_kn = 1 - pcp exactly."""
-    if example.l_input < 1:
-        raise InputError(f"example {example.id!r}: empty input")
-    trace = forward(params, example.tokens)
-    return _kn_from_trace(trace, example)
-
-
 def _distance(vec: np.ndarray, centroid: np.ndarray, metric: str) -> float:
     if metric == "euclidean":
         return float(np.linalg.norm(vec - centroid))

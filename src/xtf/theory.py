@@ -16,6 +16,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .data import subseed
+from .numerics import softmax_value
 
 
 class GeometryError(ValueError):
@@ -200,12 +201,6 @@ def mixture_gradients(spec: MixtureSpec, mode: str = "strong", M: np.ndarray | N
     return MixtureGradients(g_core, g_noise, g_train, g_fil, z_fil)
 
 
-def alignment(g_core: np.ndarray, g: np.ndarray, M: np.ndarray) -> float:
-    """Inner product between the ideal descent direction and g in the M^-1
-    metric, via an SPD solve (never an explicit inverse)."""
-    return Geometry(M).inner(g_core, g)
-
-
 def alignment_gain_exact(spec: MixtureSpec, M: np.ndarray) -> dict:
     """Closed-form alignment gain versus the direct difference of alignments."""
     geo = Geometry(M)
@@ -372,18 +367,13 @@ class KNBoundScenario:
         return float(np.max(np.linalg.norm(self.W, axis=1)))
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
 def kn_scores(scenario: KNBoundScenario) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair score vectors phi = W^T (e_t - p) and probabilities p_t."""
     n, d = scenario.contexts.shape
     phis = np.empty((n, d))
     probs = np.empty(n)
     for i in range(n):
-        p = _softmax(scenario.W @ scenario.contexts[i])
+        p = softmax_value(scenario.W @ scenario.contexts[i])
         t = scenario.tokens[i]
         e = np.zeros(scenario.W.shape[0])
         e[t] = 1.0
@@ -398,7 +388,7 @@ def kn_fisher(scenario: KNBoundScenario) -> np.ndarray:
     d = scenario.contexts.shape[1]
     F = np.zeros((d, d))
     for i in range(scenario.contexts.shape[0]):
-        p = _softmax(scenario.W @ scenario.contexts[i])
+        p = softmax_value(scenario.W @ scenario.contexts[i])
         # phi for token k is W^T (e_k - p); accumulate sum_k p_k phi_k phi_k^T
         diffs = np.eye(scenario.W.shape[0]) - p[None, :]
         phis_c = diffs @ scenario.W  # row k = phi_k^T
@@ -621,7 +611,7 @@ def verify_theory(seed: int = 0) -> dict:
         W = rng.normal(size=(dim, dim))
         x = rng.normal(size=dim) * float(rng.uniform(0.1, 3.0))
         t = int(rng.integers(dim))
-        p = _softmax(W @ x)
+        p = softmax_value(W @ x)
         e = np.zeros(dim)
         e[t] = 1.0
         phi = W.T @ (e - p)

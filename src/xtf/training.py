@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .data import EOS_ID, TokenizedExample, strip_noise, subseed
-from .filtering import FilterConfig, NoiseMask, apply_filters, complementarity_report
+from .data import EOS_ID, TokenizedExample, gen_synth, split_records, strip_noise, subseed, tokenize
+from .filtering import FilterConfig, NoiseMask, apply_filters, complementarity_report, filter_quality
 from .model import (
     ModelConfig,
     ModelParams,
     OptState,
     TrainingError,
+    forward,
     forward_tensors,
     init,
     optimizer_step,
@@ -111,7 +112,6 @@ def evaluate(params: ModelParams, eval_set: list[TokenizedExample]) -> float:
     token), only the cost."""
     if not eval_set:
         raise ValueError("evaluate needs a non-empty set")
-    from .model import forward
 
     correct = 0
     for ex in eval_set:
@@ -205,12 +205,8 @@ def train(
     aborts with the best checkpoint so far plus a diagnostic log entry.
     """
     if val_set is None:
-        from .data import _id_rank
-
-        ordered = sorted(dataset, key=lambda ex: (_id_rank(ex.id), ex.id))
-        n_val = max(1, int(len(ordered) * config.val_fraction))
-        val_set = ordered[:n_val]
-        dataset = ordered[n_val:]
+        n_val = max(1, int(len(dataset) * config.val_fraction))
+        val_set, dataset, _ = split_records(dataset, counts=(n_val, len(dataset) - n_val, 0))
 
     usable = []
     dropped = 0
@@ -286,8 +282,6 @@ def prepare_base(
     novelty) while genuine task tokens stay novel; the symbol documents
     give off-task symbols a trained embedding identity. The base never
     sees the noisy labels it will later score."""
-    from .data import gen_synth, tokenize
-
     params = init(model_config)
     if base_epochs <= 0:
         return params
@@ -396,14 +390,9 @@ def run_experiment(
     arm, with BLAS held at one thread in both. An error in either process
     propagates once the worker has finished.
     """
-    from .data import DatasetRecord, split_records
-
-    as_records = [DatasetRecord(ex.id, input_ids=ex.input_ids, output_ids=ex.output_ids) for ex in dataset]
-    by_id = {ex.id: ex for ex in dataset}
-    train_recs, val_recs, test_recs = split_records(as_records, counts=split_counts)
-    train_ex = [by_id[r.id] for r in train_recs]
-    val_ex = [strip_noise(by_id[r.id]) for r in val_recs]
-    test_ex = [strip_noise(by_id[r.id]) for r in test_recs]
+    train_ex, val_ex, test_ex = split_records(dataset, counts=split_counts)
+    val_ex = [strip_noise(ex) for ex in val_ex]
+    test_ex = [strip_noise(ex) for ex in test_ex]
 
     if base_params is None:
         base_params = prepare_base(model_config, train_config, base_epochs, train_config.seed)
@@ -434,7 +423,5 @@ def run_experiment(
         "score_errors": score_result.errors,
     }
     if any(ex.noise is not None for ex in train_ex):
-        from .data import filter_quality
-
         report["filter_quality"] = filter_quality(masks, train_ex)
     return report

@@ -15,9 +15,7 @@ from xtf.data import (
     VOCAB_SIZE,
     DatasetRecord,
     IngestionError,
-    UnsupportedOperation,
     decode_ids,
-    filter_quality,
     gen_synth,
     load_config,
     load_dataset,
@@ -28,7 +26,7 @@ from xtf.data import (
     subseed,
     tokenize,
 )
-from xtf.filtering import NoiseMask
+from xtf.filtering import NoiseMask, UnsupportedOperation, filter_quality
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +198,31 @@ def test_dataset_file_round_trip(tmp_path):
     assert all(a.noise == b.noise for a, b in zip(records, loaded))
 
 
+_GOOD_LINE = {"id": "a", "input_text": "1+2=", "output_text": "3", "noise": [False]}
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        "[1, 2]",
+        "{not json",
+        json.dumps({k: v for k, v in _GOOD_LINE.items() if k != "id"}),
+        json.dumps({**_GOOD_LINE, "id": 7}),
+        json.dumps({**_GOOD_LINE, "input_text": 12}),
+        json.dumps({"id": "a", "input_ids": [1, "2"], "output_ids": [3]}),
+        json.dumps({"id": "a", "input_ids": [1, 2], "output_ids": 3}),
+        json.dumps({**_GOOD_LINE, "noise": [0]}),
+        json.dumps(_GOOD_LINE),  # the same id twice
+    ],
+)
+def test_load_dataset_rejects_malformed_lines(tmp_path, bad_line):
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(_GOOD_LINE) + "\n" + bad_line + "\n")
+    with pytest.raises(IngestionError) as err:
+        load_dataset(path)
+    assert f"{path}:2: " in str(err.value)
+
+
 def test_filter_quality_perfect_and_empty():
     records = gen_synth("addition", 30, 0.3, 5)
     examples = [tokenize(r) for r in records]
@@ -247,6 +270,18 @@ def test_cli_rejects_bad_artifacts_with_one_line(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("d_model = 16\nn_layers = 1\nn_heads = 2\nd_ff = 24\n")
     assert _run(["gen-synth", "--task", "addition", "--size", "20", "--noise-rate", "0.25", "--seed", "3", "--out", str(data)]) == 0
+    data_lines = data.read_text().splitlines()
+    bad_data = tmp_path / "bad_data.jsonl"
+    for bad in (
+        [json.dumps({k: v for k, v in json.loads(data_lines[0]).items() if k != "id"})] + data_lines[1:],
+        data_lines + [data_lines[3]],
+    ):
+        bad_data.write_text("\n".join(bad) + "\n")
+        capsys.readouterr()
+        assert _run(["score", "--data", str(bad_data), "--config", str(cfg), "--seed", "3", "--out", str(scores)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not scores.exists()
     assert _run(["score", "--data", str(data), "--config", str(cfg), "--seed", "3", "--out", str(scores)]) == 0
     lines = scores.read_text().splitlines()
 
@@ -286,6 +321,31 @@ def test_cli_rejects_bad_artifacts_with_one_line(tmp_path, capsys):
         assert _run(["eval", "--data", str(data), "--checkpoint", str(ckpt)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_train_rejects_masks_of_another_dataset(tmp_path, capsys):
+    copy_data = tmp_path / "copy.jsonl"
+    addition_data = tmp_path / "addition.jsonl"
+    scores = tmp_path / "scores.jsonl"
+    masks = tmp_path / "masks.jsonl"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d_model = 16\nn_layers = 1\nn_heads = 2\nd_ff = 24\nepochs = 1\nbatch_size = 8\n")
+    assert _run(["gen-synth", "--task", "copy", "--size", "16", "--seed", "2", "--out", str(copy_data)]) == 0
+    assert _run(["gen-synth", "--task", "addition", "--size", "16", "--seed", "2", "--out", str(addition_data)]) == 0
+    assert _run(["score", "--data", str(addition_data), "--config", str(cfg), "--seed", "2", "--out", str(scores)]) == 0
+    assert _run(["filter", "--scores", str(scores), "--out", str(masks)]) == 0
+
+    ckpt = tmp_path / "model.ckpt"
+    capsys.readouterr()
+    assert _run(["train", "--data", str(copy_data), "--masks", str(masks), "--config", str(cfg), "--out", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "addition-00000" in err and err.count("\n") == 1
+    assert not ckpt.exists()
+
+    # examples without a mask stay legal: scoring skips invalid examples
+    masks.write_text("\n".join(masks.read_text().splitlines()[:5]) + "\n")
+    assert _run(["train", "--data", str(addition_data), "--masks", str(masks), "--config", str(cfg), "--out", str(ckpt)]) == 0
+    assert ckpt.exists()
 
 
 def test_cli_pipeline_smoke(tmp_path, capsys):

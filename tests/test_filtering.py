@@ -160,10 +160,17 @@ def test_multi_otsu_trimodal_thresholds_between_clusters():
 
 def test_multi_otsu_matches_exhaustive_oracle():
     rng = np.random.default_rng(2)
+    cases = []
     for trial in range(40):
         k = 2 if trial % 2 == 0 else 3
         bins = int(rng.integers(8, 65))
-        values = rng.normal(size=int(rng.integers(20, 200)))
+        cases.append((k, bins, rng.normal(size=int(rng.integers(20, 200)))))
+    # the production shape: 256 bins, and a pool rounded to 0.01 whose
+    # values fall on a coarse grid, leaving most bins empty
+    cases.append((2, 256, rng.normal(size=300)))
+    cases.append((3, 256, rng.normal(size=300)))
+    cases.append((3, 256, np.round(rng.uniform(size=2000), 2)))
+    for k, bins, values in cases:
         got = multi_otsu(values, k=k, bins=bins)
         want_thr, want_sigma = otsu_oracle(values, k, bins)
         assert got.thresholds == want_thr
@@ -314,9 +321,6 @@ def test_apply_filters_stats_populated():
     assert stats.total_tokens == sum(s.n_tokens() for s in scores)
     assert stats.flagged_tokens == sum(m.n_flagged() for m in masks)
     assert set(stats.per_attribute_counts) == set(ATTRIBUTES)
-    for ex_id, (q1, q3, tau) in stats.ri_fences.items():
-        assert q1 <= q3
-        assert tau == pytest.approx(q1 - (q3 - q1), abs=1e-15)
     if stats.otsu_thresholds is not None:
         assert list(stats.otsu_thresholds) == sorted(stats.otsu_thresholds)
 

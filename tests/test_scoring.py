@@ -8,12 +8,12 @@ from xtf.numerics import softmax_value
 from xtf.scoring import (
     ConsistencyError,
     DomainVector,
+    _kn_from_trace,
+    _ri_from_trace,
     compute_domain_vector,
     load_scores,
     save_scores,
     score_dataset,
-    score_kn,
-    score_ri,
     score_tr,
 )
 
@@ -24,9 +24,9 @@ def _example(inp, out, ex_id="x"):
 
 def test_score_ri_single_label_token(tiny_params):
     ex = _example([1, 2, 3], [4])
-    s_ri = score_ri(tiny_params, ex)
-    assert s_ri.shape == (1,)
     trace = forward(tiny_params, ex.tokens)
+    s_ri = _ri_from_trace(trace, ex.l_input, 1, "mean")
+    assert s_ri.shape == (1,)
     expected = trace.attention[:, :, 3, 3].mean()
     assert s_ri[0] == pytest.approx(expected, abs=1e-15)
     assert 0.0 < s_ri[0] <= 1.0
@@ -35,8 +35,8 @@ def test_score_ri_single_label_token(tiny_params):
 def test_score_ri_matches_loop_oracle(tiny_params):
     # 2 layers, 2 heads, 5-token sequence: average by explicit loops
     ex = _example([1, 2], [3, 4, 5])
-    s_ri = score_ri(tiny_params, ex, agg="mean")
     trace = forward(tiny_params, ex.tokens)
+    s_ri = _ri_from_trace(trace, ex.l_input, 3, "mean")
     n_layers, n_heads, s, _ = trace.attention.shape
     for k in range(3):
         p = 2 + k
@@ -53,12 +53,13 @@ def test_score_ri_matches_loop_oracle(tiny_params):
 
 def test_score_ri_range_and_aggs(tiny_params):
     ex = _example([1, 2, 3], [4, 5, 6, 7])
+    trace = forward(tiny_params, ex.tokens)
     for agg in ("mean", "last_layer_mean"):
-        s_ri = score_ri(tiny_params, ex, agg=agg)
+        s_ri = _ri_from_trace(trace, ex.l_input, 4, agg)
         assert np.all(s_ri >= 0.0) and np.all(s_ri <= 1.0)
-    assert np.all(score_ri(tiny_params, ex, agg="sum") >= 0.0)
+    assert np.all(_ri_from_trace(trace, ex.l_input, 4, "sum") >= 0.0)
     with pytest.raises(ValueError):
-        score_ri(tiny_params, ex, agg="median")
+        _ri_from_trace(trace, ex.l_input, 4, "median")
 
 
 def test_score_kn_uniform_logits():
@@ -66,22 +67,22 @@ def test_score_kn_uniform_logits():
     params = init(TINY)
     params["tok_emb"].value[...] = 0.0
     ex = _example([1, 2], [3, 4])
-    pcp, s_kn = score_kn(params, ex)
+    pcp, s_kn = _kn_from_trace(forward(params, ex.tokens), ex)
     np.testing.assert_allclose(pcp, 1.0 / TINY.vocab_size, atol=1e-12)
     np.testing.assert_allclose(s_kn, 1.0 - 1.0 / TINY.vocab_size, atol=1e-12)
 
 
 def test_score_kn_definitional_identity(tiny_generic_params):
     ex = _example([1, 2, 3], [4, 5, 6, 7])
-    pcp, s_kn = score_kn(tiny_generic_params, ex)
+    pcp, s_kn = _kn_from_trace(forward(tiny_generic_params, ex.tokens), ex)
     assert np.all(s_kn + pcp == 1.0)
     assert np.all((pcp >= 0.0) & (pcp <= 1.0))
 
 
 def test_score_kn_matches_manual_softmax(tiny_generic_params):
     ex = _example([1, 2, 3], [4, 5])
-    pcp, _ = score_kn(tiny_generic_params, ex)
     trace = forward(tiny_generic_params, ex.tokens)
+    pcp, _ = _kn_from_trace(trace, ex)
     for k, tok in enumerate(ex.output_ids):
         row = softmax_value(trace.logits[ex.l_input + k - 1])
         assert pcp[k] == pytest.approx(row[tok], abs=1e-15)

@@ -11,7 +11,6 @@ from xtf.theory import (
     PreconditionError,
     PreconditionerSpec,
     SingularityError,
-    alignment,
     alignment_gain_exact,
     alignment_gain_lower_bound,
     coherence,
@@ -94,7 +93,7 @@ def test_alignment_identity_preconditioner_is_dot_product():
     rng = np.random.default_rng(2)
     g_core = rng.normal(size=6)
     g = rng.normal(size=6)
-    assert alignment(g_core, g, np.eye(6)) == pytest.approx(float(g_core @ g), abs=1e-12)
+    assert Geometry(np.eye(6)).inner(g_core, g) == pytest.approx(float(g_core @ g), abs=1e-12)
 
 
 def test_alignment_self_is_nonnegative():
@@ -102,8 +101,8 @@ def test_alignment_self_is_nonnegative():
     spec = _spec()
     for M in _both_preconditioners(spec):
         g = rng.normal(size=spec.dim)
-        assert alignment(g, g, M) > 0.0
-        assert alignment(np.zeros(spec.dim), np.zeros(spec.dim), M) == 0.0
+        assert Geometry(M).inner(g, g) > 0.0
+        assert Geometry(M).inner(np.zeros(spec.dim), np.zeros(spec.dim)) == 0.0
 
 
 def test_alignment_matches_explicit_inverse_oracle():
@@ -113,16 +112,16 @@ def test_alignment_matches_explicit_inverse_oracle():
         M = A @ A.T + 0.5 * np.eye(8)
         g_core = rng.normal(size=8)
         g = rng.normal(size=8)
-        got = alignment(g_core, g, M)
+        got = Geometry(M).inner(g_core, g)
         want = float(g_core @ np.linalg.inv(M) @ g)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 def test_alignment_rejects_non_spd():
     with pytest.raises(GeometryError):
-        alignment(np.ones(3), np.ones(3), -np.eye(3))
+        Geometry(-np.eye(3))
     with pytest.raises(GeometryError):
-        alignment(np.ones(3), np.ones(3), np.arange(9.0).reshape(3, 3))
+        Geometry(np.arange(9.0).reshape(3, 3))
 
 
 # ---------------------------------------------------------------------------

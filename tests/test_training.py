@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import TINY, randomize_params
+from reference_ops import log_softmax_value
 from xtf import training
 from xtf.data import EOS_ID, TokenizedExample, gen_synth, split_records, tokenize
 from xtf.filtering import FilterConfig, NoiseMask
@@ -40,8 +41,6 @@ def _mask(ex, flagged):
 
 def _per_position_oracle(params, ex, kept):
     """Loss as a sum of manual per-position log-softmax terms."""
-    from xtf.numerics import log_softmax_value
-
     trace = forward(params, ex.tokens)
     logp = log_softmax_value(trace.logits, axis=-1)
     return -sum(logp[ex.l_input + k - 1, ex.output_ids[k]] for k in kept)
