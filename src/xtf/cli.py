@@ -27,8 +27,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+CONFIG_KEYS = frozenset(
+    "vocab_size d_model n_layers n_heads d_ff max_seq tie_output "
+    "kn_cutoff otsu_classes otsu_bins enabled_attributes ri_agg domain_source distance_metric "
+    "learning_rate epochs batch_size optimizer val_fraction report_every "
+    "base_epochs split_train split_val split_test seed".split()
+)
+SPLIT_KEYS = ("split_train", "split_val", "split_test")
+
+
 def _cfg(args) -> dict[str, str]:
-    return D.load_config(args.config) if getattr(args, "config", None) else {}
+    """The --config file, rejecting a key outside CONFIG_KEYS, a tie_output
+    other than true/false, and a partial split_* triple."""
+    if not getattr(args, "config", None):
+        return {}
+    cfg = D.load_config(args.config)
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise D.IngestionError(f"{args.config}: unknown config key {unknown[0]!r}")
+    if cfg.get("tie_output", "true").lower() not in ("true", "false"):
+        raise D.IngestionError(f"{args.config}: tie_output must be true or false, got {cfg['tie_output']!r}")
+    missing = [k for k in SPLIT_KEYS if k not in cfg]
+    if 0 < len(missing) < len(SPLIT_KEYS):
+        raise D.IngestionError(f"{args.config}: {', '.join(SPLIT_KEYS)} go together; {missing[0]} is missing")
+    return cfg
 
 
 def _seed(args, cfg: dict[str, str]) -> int:
@@ -215,7 +237,7 @@ def cmd_run_experiment(args) -> int:
     examples = _load_examples(args.data)
     split_counts = None
     if "split_train" in cfg:
-        split_counts = (int(cfg["split_train"]), int(cfg["split_val"]), int(cfg["split_test"]))
+        split_counts = tuple(int(cfg[k]) for k in SPLIT_KEYS)
     report = TR.run_experiment(
         examples,
         filter_config_from(cfg),

@@ -184,7 +184,7 @@ def filter_tr(
     flagged: dict[str, set[int]] = {ex_id: set() for ex_id in ids}
     if not arrays:
         return flagged, OtsuResult(None, 0.0), []
-    pool = np.concatenate(arrays) if arrays else np.array([])
+    pool = np.concatenate(arrays)
     result = multi_otsu(pool, k=k, bins=bins)
     if result.thresholds is None:
         return flagged, result, []

@@ -3,8 +3,8 @@
 Everything here is deliberately small: the op set is exactly what the tiny
 decoder model needs, all values are float64, and every op is a pure function
 of its inputs so repeated calls are bitwise identical. Gradients come from
-replaying a GradientTape backwards; `finite_diff_check` is the independent
-referee for the whole chain.
+replaying a GradientTape backwards; the tests check them against central
+finite differences (`finite_diff_check` in tests/reference_ops.py).
 """
 
 from __future__ import annotations
@@ -340,40 +340,3 @@ def softmax_value(x: np.ndarray, axis: int = -1) -> np.ndarray:
     the arithmetic on the small vectors of the theory lab."""
     e = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
     return e / np.add.reduce(e, axis=axis, keepdims=True)
-
-
-def finite_diff_check(
-    loss_fn: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    step: float = 1e-5,
-    analytic: Sequence[np.ndarray] | None = None,
-) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    `loss_fn` must rebuild the loss from the current values of `params`
-    (it is re-run with individual entries perturbed by ±step). Passing
-    `analytic` skips the tape pass and checks the supplied gradients
-    instead, which lets tests feed deliberately corrupted gradients.
-    """
-    if step <= 0:
-        raise ContractError("step must be positive")
-    if analytic is None:
-        with GradientTape() as tape:
-            loss = loss_fn()
-        analytic = tape.gradients(loss, params)
-
-    worst = 0.0
-    for p, g in zip(params, analytic):
-        flat = p.value.reshape(-1)
-        g_flat = np.asarray(g).reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = float(loss_fn().value)
-            flat[i] = orig - step
-            down = float(loss_fn().value)
-            flat[i] = orig
-            central = (up - down) / (2.0 * step)
-            err = abs(g_flat[i] - central) / (abs(g_flat[i]) + abs(central) + 1e-12)
-            worst = max(worst, err)
-    return worst

@@ -5,12 +5,14 @@ and a noise component mixed with weight eps, and a selector that drops core
 mass at rate alpha and keeps noise mass at rate beta. Every identity and
 bound is evaluated two ways: closed form versus direct computation from the
 mixture gradients, under an arbitrary SPD preconditioner (identity or a
-damped second-moment "Fisher" matrix).
+damped second-moment "Fisher" matrix) that callers pass factored once, as a
+Geometry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import count, islice
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -60,6 +62,9 @@ class Geometry:
         return self.inner(x, x)
 
 
+FISHER_DAMPING = 1e-3
+
+
 def damped_fisher(phis: np.ndarray, weights: np.ndarray, lam: float) -> np.ndarray:
     """Weighted second moment of the score population plus lam * I,
     symmetrized by averaging with its transpose."""
@@ -76,23 +81,6 @@ def damped_fisher(phis: np.ndarray, weights: np.ndarray, lam: float) -> np.ndarr
             "increase the damping"
         )
     return F
-
-
-@dataclass(frozen=True)
-class PreconditionerSpec:
-    mode: str = "identity"  # identity | damped_fisher
-    lam: float = 1e-3
-
-    def build(self, spec: "MixtureSpec") -> np.ndarray:
-        if self.mode == "identity":
-            return np.eye(spec.dim)
-        if self.mode == "damped_fisher":
-            phis = np.vstack([spec.core_vectors, spec.noise_vectors])
-            weights = np.concatenate(
-                [(1.0 - spec.eps) * spec.core_weights, spec.eps * spec.noise_weights]
-            )
-            return damped_fisher(phis, weights, self.lam)
-        raise ValueError(f"unknown preconditioner mode {self.mode!r}")
 
 
 @dataclass
@@ -127,6 +115,14 @@ class MixtureSpec:
     @property
     def selector_skill(self) -> float:
         return 1.0 - self.alpha - self.beta
+
+
+def fisher_preconditioner(spec: MixtureSpec) -> np.ndarray:
+    """Damped second moment of the mixture's score population, weighted by
+    component mass, with damping FISHER_DAMPING."""
+    phis = np.vstack([spec.core_vectors, spec.noise_vectors])
+    weights = np.concatenate([(1.0 - spec.eps) * spec.core_weights, spec.eps * spec.noise_weights])
+    return damped_fisher(phis, weights, FISHER_DAMPING)
 
 
 def random_mixture(
@@ -170,12 +166,13 @@ def _unit_in_metric(rng: np.random.Generator, geo: Geometry, dim: int) -> np.nda
     return u / np.sqrt(geo.norm_sq(u))
 
 
-def mixture_gradients(spec: MixtureSpec, mode: str = "strong", M: np.ndarray | None = None) -> MixtureGradients:
+def mixture_gradients(spec: MixtureSpec, geo: Geometry | None = None) -> MixtureGradients:
     """Population gradients and the renormalized filtered gradient.
 
-    Strong mode assumes the selector is independent of the token given its
-    component. Weak mode perturbs each selected-component mean by a seeded
-    random direction whose M^-1 norm is exactly rho * the core gradient's.
+    Without `geo` the selector is independent of the token given its
+    component (strong mode). With `geo`, each selected-component mean is
+    perturbed by a seeded random direction whose norm in geo's metric is
+    exactly rho * the core gradient's (weak-bias mode).
     """
     a, b = 1.0 - spec.eps, spec.eps
     z_fil = a * (1.0 - spec.alpha) + b * spec.beta
@@ -184,71 +181,61 @@ def mixture_gradients(spec: MixtureSpec, mode: str = "strong", M: np.ndarray | N
     g_core = spec.core_weights @ spec.core_vectors
     g_noise = spec.noise_weights @ spec.noise_vectors
     g_train = a * g_core + b * g_noise
-    if mode == "strong":
-        g_core_sel, g_noise_sel = g_core, g_noise
-    elif mode == "weak":
-        if M is None:
-            raise ValueError("weak-bias mode needs the preconditioner to scale the bias norms")
-        geo = Geometry(M)
+    g_core_sel, g_noise_sel = g_core, g_noise
+    if geo is not None:
         norm_core = np.sqrt(geo.norm_sq(g_core))
         rng_c = np.random.default_rng(subseed(spec.seed, "bias-core"))
         rng_n = np.random.default_rng(subseed(spec.seed, "bias-noise"))
         g_core_sel = g_core + spec.rho_c * norm_core * _unit_in_metric(rng_c, geo, spec.dim)
         g_noise_sel = g_noise + spec.rho_n * norm_core * _unit_in_metric(rng_n, geo, spec.dim)
-    else:
-        raise ValueError(f"unknown selector mode {mode!r}")
     g_fil = (a * (1.0 - spec.alpha) * g_core_sel + b * spec.beta * g_noise_sel) / z_fil
     return MixtureGradients(g_core, g_noise, g_train, g_fil, z_fil)
 
 
-def alignment_gain_exact(spec: MixtureSpec, M: np.ndarray) -> dict:
-    """Closed-form alignment gain versus the direct difference of alignments."""
-    geo = Geometry(M)
-    grads = mixture_gradients(spec, "strong")
-    a, b = 1.0 - spec.eps, spec.eps
+def _strong_terms(spec: MixtureSpec, geo: Geometry) -> tuple[MixtureGradients, float, float, float]:
+    """Strong-mode gradients, ||g_core||^2, <g_core, g_noise> and the direct
+    gain <g_core, g_fil> - <g_core, g_train>, all in geo's metric."""
+    grads = mixture_gradients(spec)
     core_sq = geo.norm_sq(grads.g_core)
     cross = geo.inner(grads.g_core, grads.g_noise)
-    formula = a * b * spec.selector_skill / grads.z_fil * (core_sq - cross)
-    direct = geo.inner(grads.g_core, grads.g_fil) - geo.inner(grads.g_core, grads.g_train)
-    return {"gain_formula": formula, "gain_direct": direct}
+    gain = geo.inner(grads.g_core, grads.g_fil) - geo.inner(grads.g_core, grads.g_train)
+    return grads, core_sq, cross, gain
 
 
-def coherence(spec: MixtureSpec, M: np.ndarray) -> float:
-    """zeta estimate: <g_core, g_noise> / ||g_core||^2 in the M^-1 metric."""
-    geo = Geometry(M)
-    grads = mixture_gradients(spec, "strong")
-    core_sq = geo.norm_sq(grads.g_core)
+def _zeta(core_sq: float, cross: float) -> float:
     if core_sq == 0.0:
         raise DegenerateSelectorError("core gradient vanishes; coherence undefined")
-    return geo.inner(grads.g_core, grads.g_noise) / core_sq
+    return cross / core_sq
 
 
-def alignment_gain_lower_bound(spec: MixtureSpec, M: np.ndarray) -> dict:
+def alignment_gain_exact(spec: MixtureSpec, geo: Geometry) -> dict:
+    """Closed-form alignment gain versus the direct difference of alignments."""
+    grads, core_sq, cross, gain = _strong_terms(spec, geo)
+    formula = (1.0 - spec.eps) * spec.eps * spec.selector_skill / grads.z_fil * (core_sq - cross)
+    return {"gain_formula": formula, "gain_direct": gain}
+
+
+def coherence(spec: MixtureSpec, geo: Geometry) -> float:
+    """zeta estimate: <g_core, g_noise> / ||g_core||^2 in geo's metric."""
+    _, core_sq, cross, _ = _strong_terms(spec, geo)
+    return _zeta(core_sq, cross)
+
+
+def alignment_gain_lower_bound(spec: MixtureSpec, geo: Geometry) -> dict:
     """Strong-selector lower bound with zeta set to its estimate (tight)."""
-    geo = Geometry(M)
-    grads = mixture_gradients(spec, "strong")
-    a, b = 1.0 - spec.eps, spec.eps
-    core_sq = geo.norm_sq(grads.g_core)
-    if core_sq == 0.0:
-        raise DegenerateSelectorError("core gradient vanishes")
-    zeta = geo.inner(grads.g_core, grads.g_noise) / core_sq
-    bound = a * b * spec.selector_skill * (1.0 - zeta) / grads.z_fil * core_sq
-    direct = alignment_gain_exact(spec, M)["gain_direct"]
-    return {"bound": bound, "gain_direct": direct, "zeta": zeta, "holds": direct >= bound - 1e-12}
+    grads, core_sq, cross, gain = _strong_terms(spec, geo)
+    zeta = _zeta(core_sq, cross)
+    bound = (1.0 - spec.eps) * spec.eps * spec.selector_skill * (1.0 - zeta) / grads.z_fil * core_sq
+    return {"bound": bound, "gain_direct": gain, "zeta": zeta, "holds": gain >= bound - 1e-12}
 
 
-def weak_bias_gain_bound(spec: MixtureSpec, M: np.ndarray) -> dict:
+def weak_bias_gain_bound(spec: MixtureSpec, geo: Geometry) -> dict:
     """Bias-robust lower bound; positive whenever the selection-bias term is
     dominated by the strong-selector gain."""
-    geo = Geometry(M)
-    strong = mixture_gradients(spec, "strong")
-    weak = mixture_gradients(spec, "weak", M)
+    strong, core_sq, cross, _ = _strong_terms(spec, geo)
+    weak = mixture_gradients(spec, geo)
     a, b = 1.0 - spec.eps, spec.eps
-    core_sq = geo.norm_sq(strong.g_core)
-    if core_sq == 0.0:
-        raise DegenerateSelectorError("core gradient vanishes")
-    zeta = geo.inner(strong.g_core, strong.g_noise) / core_sq
-    gain_term = a * b * spec.selector_skill * (1.0 - zeta)
+    gain_term = a * b * spec.selector_skill * (1.0 - _zeta(core_sq, cross))
     bias_term = a * (1.0 - spec.alpha) * spec.rho_c + b * spec.beta * spec.rho_n
     lower_bound = (gain_term - bias_term) / strong.z_fil * core_sq
     gain_direct = geo.inner(strong.g_core, weak.g_fil) - geo.inner(strong.g_core, weak.g_train)
@@ -289,12 +276,12 @@ def make_one_step_scenario(seed: int, spec: MixtureSpec, radius: float = 1e6) ->
     A = rng.normal(size=(spec.dim, spec.dim))
     H = A.T @ A / spec.dim + 0.5 * np.eye(spec.dim)
     theta = rng.normal(size=spec.dim)
-    g_core = mixture_gradients(spec, "strong").g_core
+    g_core = mixture_gradients(spec).g_core
     theta_star = theta + np.linalg.solve(H, g_core)
     return OneStepScenario(H, theta, theta_star, radius)
 
 
-def one_step_compare(scenario: OneStepScenario, spec: MixtureSpec, M: np.ndarray, eta: float) -> dict:
+def one_step_compare(scenario: OneStepScenario, spec: MixtureSpec, geo: Geometry, eta: float) -> dict:
     """Take one preconditioned step per arm from the same point and compare.
 
     Checks the per-arm descent inequality with L = lambda_max(H) and the
@@ -302,8 +289,7 @@ def one_step_compare(scenario: OneStepScenario, spec: MixtureSpec, M: np.ndarray
         -eta * gain + (L/2) * eta^2 * (||step_fil||^2 + ||step_train||^2),
     whose zero crossing gives the small-step threshold eta_max.
     """
-    geo = Geometry(M)
-    grads = mixture_gradients(spec, "strong")
+    grads = mixture_gradients(spec)
     step_fil = -geo.solve(grads.g_fil)
     step_train = -geo.solve(grads.g_train)
     n_fil = float(step_fil @ step_fil)
@@ -486,11 +472,17 @@ def make_kn_scenario(seed: int, dim: int = 8, n_low: int = 14, n_high: int = 6, 
 # ---------------------------------------------------------------------------
 
 
-def _preconditioners(spec: MixtureSpec, lam: float = 1e-3) -> list[tuple[str, np.ndarray]]:
-    return [
-        ("identity", PreconditionerSpec("identity").build(spec)),
-        ("damped_fisher", PreconditionerSpec("damped_fisher", lam).build(spec)),
-    ]
+def _preconditioners(spec: MixtureSpec) -> list[Geometry]:
+    return [Geometry(np.eye(spec.dim)), Geometry(fisher_preconditioner(spec))]
+
+
+def _worst(specs, check, violation) -> float:
+    """Largest violation(check(spec, geo)) over each mixture in both metrics."""
+    worst = 0.0
+    for spec in specs:
+        for geo in _preconditioners(spec):
+            worst = max(worst, violation(check(spec, geo)))
+    return worst
 
 
 def verify_theory(seed: int = 0) -> dict:
@@ -503,94 +495,69 @@ def verify_theory(seed: int = 0) -> dict:
             {"name": name, "instances": instances, "max_violation": max_violation, "pass": bool(ok)}
         )
 
+    def mixtures(tag: str, n: int, **kw):
+        return (random_mixture(subseed(seed, f"{tag}-{i}"), **kw) for i in range(n))
+
     # exact alignment-gain identity, both preconditioners
-    worst = 0.0
-    for i in range(200):
-        spec = random_mixture(subseed(seed, f"exact-{i}"))
-        for _, M in _preconditioners(spec):
-            r = alignment_gain_exact(spec, M)
-            rel = abs(r["gain_formula"] - r["gain_direct"]) / (1.0 + abs(r["gain_direct"]))
-            worst = max(worst, rel)
+    gap = lambda r: abs(r["gain_formula"] - r["gain_direct"]) / (1.0 + abs(r["gain_direct"]))
+    worst = _worst(mixtures("exact", 200), alignment_gain_exact, gap)
     add("alignment_gain_exact_identity", 200, worst, worst <= 1e-9)
 
     # edge cases: no noise, and a skill-less selector
-    worst = 0.0
-    for i in range(50):
-        spec = random_mixture(subseed(seed, f"edge-eps-{i}"), eps=0.0)
-        for _, M in _preconditioners(spec):
-            r = alignment_gain_exact(spec, M)
-            worst = max(worst, abs(r["gain_formula"]), abs(r["gain_direct"]))
+    magnitude = lambda r: max(abs(r["gain_formula"]), abs(r["gain_direct"]))
+    worst = _worst(mixtures("edge-eps", 50, eps=0.0), alignment_gain_exact, magnitude)
     add("edge_no_noise_zero_gain", 50, worst, worst <= 1e-12)
-    worst = 0.0
+    skill_less = []
     for i in range(50):
         rng = np.random.default_rng(subseed(seed, f"edge-ab-{i}"))
         alpha = float(rng.uniform(0.0, 1.0))
-        spec = random_mixture(subseed(seed, f"edge-ab-{i}"), alpha=alpha, beta=1.0 - alpha)
-        for _, M in _preconditioners(spec):
-            r = alignment_gain_exact(spec, M)
-            worst = max(worst, abs(r["gain_formula"]), abs(r["gain_direct"]))
+        skill_less.append(random_mixture(subseed(seed, f"edge-ab-{i}"), alpha=alpha, beta=1.0 - alpha))
+    worst = _worst(skill_less, alignment_gain_exact, magnitude)
     add("edge_random_selector_zero_gain", 50, worst, worst <= 1e-12)
 
     # sign law
     violations = 0
-    for i in range(100):
-        spec = random_mixture(subseed(seed, f"sign-{i}"))
-        for _, M in _preconditioners(spec):
-            geo = Geometry(M)
-            grads = mixture_gradients(spec, "strong")
-            lhs = alignment_gain_exact(spec, M)["gain_direct"]
-            rhs = spec.selector_skill * (
-                geo.norm_sq(grads.g_core) - geo.inner(grads.g_core, grads.g_noise)
-            )
-            if abs(rhs) > 1e-9 and np.sign(lhs) != np.sign(rhs):
+    for spec in mixtures("sign", 100):
+        for geo in _preconditioners(spec):
+            _, core_sq, cross, gain = _strong_terms(spec, geo)
+            rhs = spec.selector_skill * (core_sq - cross)
+            if abs(rhs) > 1e-9 and np.sign(gain) != np.sign(rhs):
                 violations += 1
     add("alignment_gain_sign_law", 100, float(violations), violations == 0)
 
     # strong lower bound (zeta estimated, so it is tight)
-    worst = 0.0
-    count = 0
-    i = 0
-    while count < 100:
-        spec = random_mixture(subseed(seed, f"lb-{i}"))
-        i += 1
-        if coherence(spec, np.eye(spec.dim)) >= 1.0:
-            continue
-        count += 1
-        for _, M in _preconditioners(spec):
-            r = alignment_gain_lower_bound(spec, M)
-            worst = max(worst, r["bound"] - r["gain_direct"])
+    candidates = (random_mixture(subseed(seed, f"lb-{i}")) for i in count())
+    incoherent = (spec for spec in candidates if coherence(spec, Geometry(np.eye(spec.dim))) < 1.0)
+    slack = lambda r: r["bound"] - r["gain_direct"]
+    worst = _worst(islice(incoherent, 100), alignment_gain_lower_bound, slack)
     add("alignment_gain_lower_bound", 100, worst, worst <= 1e-12)
 
     # weak-bias robustness
-    worst = 0.0
+    biased = []
     for i in range(100):
         rng = np.random.default_rng(subseed(seed, f"wb-rho-{i}"))
-        spec = random_mixture(
-            subseed(seed, f"wb-{i}"),
-            rho_c=float(rng.uniform(0.0, 0.3)),
-            rho_n=float(rng.uniform(0.0, 0.3)),
-        )
-        for _, M in _preconditioners(spec):
-            r = weak_bias_gain_bound(spec, M)
-            worst = max(worst, r["lower_bound"] - r["gain_direct"])
+        rho_c, rho_n = float(rng.uniform(0.0, 0.3)), float(rng.uniform(0.0, 0.3))
+        biased.append(random_mixture(subseed(seed, f"wb-{i}"), rho_c=rho_c, rho_n=rho_n))
+    worst = _worst(biased, weak_bias_gain_bound, lambda r: r["lower_bound"] - r["gain_direct"])
     add("weak_bias_gain_bound", 100, worst, worst <= 1e-9)
 
     # one-step comparison on random quadratics
     worst = 0.0
     ordering_bad = 0
-    count = 0
+    checked = 0
     i = 0
-    while count < 50:
+    while checked < 50:
         spec = random_mixture(subseed(seed, f"os-{i}"))
         i += 1
-        if coherence(spec, np.eye(spec.dim)) >= 1.0 or spec.selector_skill <= 0.0:
+        geos = _preconditioners(spec)
+        if coherence(spec, geos[0]) >= 1.0 or spec.selector_skill <= 0.0:
             continue
         scenario = make_one_step_scenario(subseed(seed, f"os-scn-{i}"), spec)
-        for _, M in _preconditioners(spec):
-            probe = one_step_compare(scenario, spec, M, eta=0.0)
+        for geo in geos:
+            probe = one_step_compare(scenario, spec, geo, eta=0.0)
             if probe["eta_max"] <= 0.0:
                 continue
-            r = one_step_compare(scenario, spec, M, eta=probe["eta_max"] / 2.0)
+            r = one_step_compare(scenario, spec, geo, eta=probe["eta_max"] / 2.0)
             worst = max(
                 worst,
                 r["loss_fil"] - r["loss_train"] - r["bound_rhs"],
@@ -599,7 +566,7 @@ def verify_theory(seed: int = 0) -> dict:
             )
             if r["gain"] > 0 and r["loss_fil"] > r["loss_train"] + 1e-12:
                 ordering_bad += 1
-        count += 1
+        checked += 1
     add("one_step_difference_bound", 50, worst, worst <= 1e-12)
     add("one_step_filtered_not_worse", 50, float(ordering_bad), ordering_bad == 0)
 
@@ -611,12 +578,10 @@ def verify_theory(seed: int = 0) -> dict:
         W = rng.normal(size=(dim, dim))
         x = rng.normal(size=dim) * float(rng.uniform(0.1, 3.0))
         t = int(rng.integers(dim))
-        p = softmax_value(W @ x)
-        e = np.zeros(dim)
-        e[t] = 1.0
-        phi = W.T @ (e - p)
-        lz = float(np.max(np.linalg.norm(W, axis=1)))
-        worst = max(worst, float(np.linalg.norm(phi)) - 2.0 * lz * (1.0 - p[t]))
+        scenario = KNBoundScenario(W, x[None, :], np.array([t]), np.ones(1), delta=0.1)
+        phis, probs = kn_scores(scenario)
+        bound = 2.0 * scenario.logit_lipschitz * (1.0 - probs[0])
+        worst = max(worst, float(np.linalg.norm(phis[0])) - bound)
     add("kn_euclidean_score_bound", 1000, worst, worst <= 1e-9)
 
     # Fisher contribution and alignment-impact bounds across confidence levels
@@ -644,28 +609,18 @@ def gain_sweep_rows(seed: int = 0, n_per_axis: int = 5) -> list[dict]:
     rows = []
     base = random_mixture(subseed(seed, "sweep-base"))
     grid = np.linspace(0.05, 0.9, n_per_axis)
+    geo = Geometry(np.eye(base.dim))
     for eps in grid:
         for alpha in np.linspace(0.0, 0.45, n_per_axis):
             for beta in np.linspace(0.0, 0.45, n_per_axis):
-                spec = MixtureSpec(
-                    dim=base.dim,
-                    eps=float(eps),
-                    alpha=float(alpha),
-                    beta=float(beta),
-                    core_vectors=base.core_vectors,
-                    core_weights=base.core_weights,
-                    noise_vectors=base.noise_vectors,
-                    noise_weights=base.noise_weights,
-                    seed=base.seed,
-                )
-                M = np.eye(spec.dim)
-                r = alignment_gain_exact(spec, M)
+                spec = replace(base, eps=float(eps), alpha=float(alpha), beta=float(beta))
+                r = alignment_gain_exact(spec, geo)
                 rows.append(
                     {
                         "eps": float(eps),
                         "alpha": float(alpha),
                         "beta": float(beta),
-                        "zeta": coherence(spec, M),
+                        "zeta": coherence(spec, geo),
                         "gain_formula": r["gain_formula"],
                         "gain_direct": r["gain_direct"],
                     }

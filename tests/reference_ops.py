@@ -3,15 +3,18 @@
 The ops register their backward through `nm.record_op` like the fused ops
 of `xtf.numerics`, so they compose with them on one tape; the tests use
 them as oracles for the fused ops and as small losses for tape checks.
+`finite_diff_check` is the independent referee for tape gradients.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Sequence
 
 import numpy as np
 
 from xtf import numerics as nm
 from xtf.model import InputError, ModelParams, forward
-from xtf.numerics import ShapeError, Tensor
+from xtf.numerics import ContractError, GradientTape, ShapeError, Tensor
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -114,3 +117,40 @@ def embed(params: ModelParams, token_id: int) -> np.ndarray:
     if not 0 <= token_id < params.config.vocab_size:
         raise InputError(f"token id {token_id} out of vocabulary")
     return params["tok_emb"].value[token_id].copy()
+
+
+def finite_diff_check(
+    loss_fn: Callable[[], Tensor],
+    params: Sequence[Tensor],
+    step: float = 1e-5,
+    analytic: Sequence[np.ndarray] | None = None,
+) -> float:
+    """Max relative error between tape gradients and central differences.
+
+    `loss_fn` must rebuild the loss from the current values of `params`
+    (it is re-run with individual entries perturbed by ±step). Passing
+    `analytic` skips the tape pass and checks the supplied gradients
+    instead, which lets tests feed deliberately corrupted gradients.
+    """
+    if step <= 0:
+        raise ContractError("step must be positive")
+    if analytic is None:
+        with GradientTape() as tape:
+            loss = loss_fn()
+        analytic = tape.gradients(loss, params)
+
+    worst = 0.0
+    for p, g in zip(params, analytic):
+        flat = p.value.reshape(-1)
+        g_flat = np.asarray(g).reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            up = float(loss_fn().value)
+            flat[i] = orig - step
+            down = float(loss_fn().value)
+            flat[i] = orig
+            central = (up - down) / (2.0 * step)
+            err = abs(g_flat[i] - central) / (abs(g_flat[i]) + abs(central) + 1e-12)
+            worst = max(worst, err)
+    return worst

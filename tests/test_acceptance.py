@@ -10,17 +10,19 @@ import numpy as np
 import pytest
 
 from conftest import randomize_params
+from reference_ops import finite_diff_check
 from xtf import numerics as nm
 from xtf.data import gen_synth, subseed, tokenize
 from xtf.filtering import FilterConfig, apply_filters, filter_kn, filter_ri, multi_otsu
 from xtf.model import ModelConfig, forward, forward_tensors, init
-from xtf.numerics import GradientTape, finite_diff_check
+from xtf.numerics import GradientTape
 from xtf.scoring import TokenScores
 from xtf.theory import (
-    PreconditionerSpec,
+    Geometry,
     alignment_gain_exact,
     alignment_gain_lower_bound,
     coherence,
+    fisher_preconditioner,
     kn_bounds_check,
     kn_scores,
     make_kn_scenario,
@@ -40,8 +42,8 @@ def _verdict(name: str, ok: bool, detail: str = "") -> None:
 
 def _preconditioners(spec):
     return [
-        PreconditionerSpec("identity").build(spec),
-        PreconditionerSpec("damped_fisher", 1e-3).build(spec),
+        Geometry(np.eye(spec.dim)),
+        Geometry(fisher_preconditioner(spec)),
     ]
 
 
@@ -50,8 +52,8 @@ def test_criterion_01_alignment_gain_exact_identity():
     worst = 0.0
     for i in range(200):
         spec = random_mixture(subseed(0, f"acc1-{i}"), dim=8)
-        for M in _preconditioners(spec):
-            r = alignment_gain_exact(spec, M)
+        for geo in _preconditioners(spec):
+            r = alignment_gain_exact(spec, geo)
             rel = abs(r["gain_formula"] - r["gain_direct"]) / (1.0 + abs(r["gain_direct"]))
             worst = max(worst, rel)
     elapsed = time.perf_counter() - start
@@ -66,15 +68,15 @@ def test_criterion_02_edge_cases_zero_gain():
     worst = 0.0
     for i in range(50):
         spec = random_mixture(subseed(0, f"acc2a-{i}"), dim=8, eps=0.0)
-        for M in _preconditioners(spec):
-            r = alignment_gain_exact(spec, M)
+        for geo in _preconditioners(spec):
+            r = alignment_gain_exact(spec, geo)
             worst = max(worst, abs(r["gain_formula"]), abs(r["gain_direct"]))
     for i in range(50):
         rng = np.random.default_rng(subseed(0, f"acc2b-{i}"))
         alpha = float(rng.uniform(0.0, 1.0))
         spec = random_mixture(subseed(0, f"acc2b-{i}"), dim=8, alpha=alpha, beta=1.0 - alpha)
-        for M in _preconditioners(spec):
-            r = alignment_gain_exact(spec, M)
+        for geo in _preconditioners(spec):
+            r = alignment_gain_exact(spec, geo)
             worst = max(worst, abs(r["gain_formula"]), abs(r["gain_direct"]))
     _verdict(
         "criterion 2: zero gain at eps=0 and alpha+beta=1 (50 each)",
@@ -90,11 +92,11 @@ def test_criterion_03_lower_bounds_hold():
     while count < 100:
         spec = random_mixture(subseed(0, f"acc3a-{i}"), dim=8)
         i += 1
-        if coherence(spec, np.eye(8)) >= 1.0:
+        if coherence(spec, Geometry(np.eye(8))) >= 1.0:
             continue
         count += 1
-        for M in _preconditioners(spec):
-            r = alignment_gain_lower_bound(spec, M)
+        for geo in _preconditioners(spec):
+            r = alignment_gain_lower_bound(spec, geo)
             worst_strong = max(worst_strong, r["bound"] - r["gain_direct"])
     worst_weak = 0.0
     for i in range(100):
@@ -105,8 +107,8 @@ def test_criterion_03_lower_bounds_hold():
             rho_c=float(rng.uniform(0.0, 0.3)),
             rho_n=float(rng.uniform(0.0, 0.3)),
         )
-        for M in _preconditioners(spec):
-            r = weak_bias_gain_bound(spec, M)
+        for geo in _preconditioners(spec):
+            r = weak_bias_gain_bound(spec, geo)
             worst_weak = max(worst_weak, r["lower_bound"] - r["gain_direct"])
     _verdict(
         "criterion 3: gain lower bound (100) and bias-robust bound (100)",
@@ -123,14 +125,14 @@ def test_criterion_04_one_step_comparison():
     while checked < 50:
         spec = random_mixture(subseed(0, f"acc4-{i}"), dim=8)
         i += 1
-        if coherence(spec, np.eye(8)) >= 1.0 or spec.selector_skill <= 0.0:
+        if coherence(spec, Geometry(np.eye(8))) >= 1.0 or spec.selector_skill <= 0.0:
             continue
         scenario = make_one_step_scenario(subseed(0, f"acc4s-{i}"), spec)
-        for M in _preconditioners(spec):
-            probe = one_step_compare(scenario, spec, M, eta=0.0)
+        for geo in _preconditioners(spec):
+            probe = one_step_compare(scenario, spec, geo, eta=0.0)
             if probe["eta_max"] <= 0.0:
                 continue
-            r = one_step_compare(scenario, spec, M, eta=probe["eta_max"] / 2.0)
+            r = one_step_compare(scenario, spec, geo, eta=probe["eta_max"] / 2.0)
             bound_ok &= r["difference_ok"] and r["descent_ok_fil"] and r["descent_ok_train"]
             if r["gain"] > 0:
                 ordering_ok &= r["loss_fil"] <= r["loss_train"] + 1e-12

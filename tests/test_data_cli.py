@@ -323,6 +323,27 @@ def test_cli_rejects_bad_artifacts_with_one_line(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_cli_rejects_bad_config_with_one_line(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    assert _run(["gen-synth", "--task", "copy", "--size", "12", "--seed", "1", "--out", str(data)]) == 0
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    for text, command, needle in (
+        ("d_model = 16\nlearning_rat = 0.5\n", "train", "learning_rat"),
+        ("d_model = 16\ntie_output = flase\n", "score", "tie_output"),
+        ("d_model = 16\nsplit_train = 8\n", "run-experiment", "split_val"),
+        ("split_train = 8\nsplit_val = 2\n", "run-experiment", "split_test"),
+    ):
+        cfg.write_text(text)
+        capsys.readouterr()
+        assert _run([command, "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err and err.count("\n") == 1
+        assert not out.exists()
+    cfg.write_text("d_model = 16\nn_layers = 1\nn_heads = 2\nd_ff = 24\ntie_output = False\n")
+    assert _run(["score", "--data", str(data), "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 0
+
+
 def test_cli_train_rejects_masks_of_another_dataset(tmp_path, capsys):
     copy_data = tmp_path / "copy.jsonl"
     addition_data = tmp_path / "addition.jsonl"

@@ -170,6 +170,9 @@ def test_multi_otsu_matches_exhaustive_oracle():
     cases.append((2, 256, rng.normal(size=300)))
     cases.append((3, 256, rng.normal(size=300)))
     cases.append((3, 256, np.round(rng.uniform(size=2000), 2)))
+    # four evenly spaced values: several set partitions tie up to roundoff,
+    # and only the first tuple within the tie band is the right answer
+    cases.append((3, 256, np.array([0.0, 0.1, 0.2, 0.3])))
     for k, bins, values in cases:
         got = multi_otsu(values, k=k, bins=bins)
         want_thr, want_sigma = otsu_oracle(values, k, bins)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import TINY, randomize_params
-from reference_ops import embed, log_softmax, next_token_probs, pick, scale, total
+from reference_ops import embed, finite_diff_check, log_softmax, next_token_probs, pick, scale, total
 from xtf.data import TokenizedExample
 from xtf.model import (
     ConfigError,
@@ -17,7 +17,7 @@ from xtf.model import (
     optimizer_step,
     save_checkpoint,
 )
-from xtf.numerics import Tensor, finite_diff_check
+from xtf.numerics import Tensor
 from xtf.training import masked_loss
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import reference_ops as ref
+from reference_ops import finite_diff_check
 from xtf import numerics as nm
-from xtf.numerics import ContractError, GradientTape, ShapeError, Tensor, finite_diff_check
+from xtf.numerics import ContractError, GradientTape, ShapeError, Tensor
 
 
 def test_tensor_shape_data_invariant():

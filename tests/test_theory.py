@@ -9,12 +9,12 @@ from xtf.theory import (
     KNBoundScenario,
     MixtureSpec,
     PreconditionError,
-    PreconditionerSpec,
     SingularityError,
     alignment_gain_exact,
     alignment_gain_lower_bound,
     coherence,
     damped_fisher,
+    fisher_preconditioner,
     gain_sweep_rows,
     kn_bounds_check,
     kn_scores,
@@ -33,7 +33,7 @@ def _spec(eps=0.2, alpha=0.1, beta=0.2, seed=0, **kw):
 
 
 def _both_preconditioners(spec):
-    return [PreconditionerSpec("identity").build(spec), PreconditionerSpec("damped_fisher", 1e-3).build(spec)]
+    return [Geometry(np.eye(spec.dim)), Geometry(fisher_preconditioner(spec))]
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ def test_damped_fisher_rank_deficient_without_damping():
 
 def test_fisher_preconditioner_spd():
     spec = _spec()
-    F = PreconditionerSpec("damped_fisher", 1e-3).build(spec)
+    F = fisher_preconditioner(spec)
     eigs = np.linalg.eigvalsh(F)
     assert np.allclose(F, F.T)
     assert eigs[0] >= 1e-3 - 1e-12
@@ -99,10 +99,10 @@ def test_alignment_identity_preconditioner_is_dot_product():
 def test_alignment_self_is_nonnegative():
     rng = np.random.default_rng(3)
     spec = _spec()
-    for M in _both_preconditioners(spec):
+    for geo in _both_preconditioners(spec):
         g = rng.normal(size=spec.dim)
-        assert Geometry(M).inner(g, g) > 0.0
-        assert Geometry(M).inner(np.zeros(spec.dim), np.zeros(spec.dim)) == 0.0
+        assert geo.inner(g, g) > 0.0
+        assert geo.inner(np.zeros(spec.dim), np.zeros(spec.dim)) == 0.0
 
 
 def test_alignment_matches_explicit_inverse_oracle():
@@ -157,10 +157,9 @@ def test_mixture_degenerate_selector_rejected():
 
 def test_weak_bias_norms_are_exact():
     spec = _spec(rho_c=0.25, rho_n=0.4)
-    for M in _both_preconditioners(spec):
-        geo = Geometry(M)
-        strong = mixture_gradients(spec, "strong")
-        weak = mixture_gradients(spec, "weak", M)
+    for geo in _both_preconditioners(spec):
+        strong = mixture_gradients(spec)
+        weak = mixture_gradients(spec, geo)
         a, b = 1 - spec.eps, spec.eps
         core_norm = np.sqrt(geo.norm_sq(strong.g_core))
         # reconstruct the selected-component means from g_fil
@@ -179,23 +178,23 @@ def test_weak_bias_norms_are_exact():
 def test_gain_exact_identity_many_instances():
     for i in range(50):
         spec = random_mixture(subseed(99, f"t-{i}"))
-        for M in _both_preconditioners(spec):
-            r = alignment_gain_exact(spec, M)
+        for geo in _both_preconditioners(spec):
+            r = alignment_gain_exact(spec, geo)
             assert abs(r["gain_formula"] - r["gain_direct"]) <= 1e-9 * (1 + abs(r["gain_direct"]))
 
 
 def test_gain_zero_when_no_noise():
     spec = _spec(eps=0.0)
-    for M in _both_preconditioners(spec):
-        r = alignment_gain_exact(spec, M)
+    for geo in _both_preconditioners(spec):
+        r = alignment_gain_exact(spec, geo)
         assert abs(r["gain_formula"]) <= 1e-12
         assert abs(r["gain_direct"]) <= 1e-12
 
 
 def test_gain_zero_for_random_selector():
     spec = _spec(alpha=0.3, beta=0.7)
-    for M in _both_preconditioners(spec):
-        r = alignment_gain_exact(spec, M)
+    for geo in _both_preconditioners(spec):
+        r = alignment_gain_exact(spec, geo)
         assert abs(r["gain_formula"]) <= 1e-12
         assert abs(r["gain_direct"]) <= 1e-12
 
@@ -209,7 +208,7 @@ def test_lower_bound_orthogonal_components():
     spec.noise_vectors = np.zeros((1, spec.dim))
     spec.noise_vectors[0, 1] = 3.0
     spec.noise_weights = np.ones(1)
-    r = alignment_gain_lower_bound(spec, np.eye(spec.dim))
+    r = alignment_gain_lower_bound(spec, Geometry(np.eye(spec.dim)))
     assert r["zeta"] == pytest.approx(0.0, abs=1e-15)
     assert r["bound"] == pytest.approx(r["gain_direct"], rel=1e-12)
     assert r["holds"]
@@ -219,7 +218,7 @@ def test_lower_bound_perfectly_coherent_noise():
     spec = _spec(seed=8)
     spec.noise_vectors = spec.core_vectors.copy()
     spec.noise_weights = spec.core_weights.copy()
-    r = alignment_gain_lower_bound(spec, np.eye(spec.dim))
+    r = alignment_gain_lower_bound(spec, Geometry(np.eye(spec.dim)))
     assert r["zeta"] == pytest.approx(1.0, abs=1e-12)
     assert abs(r["bound"]) <= 1e-12
     assert abs(r["gain_direct"]) <= 1e-12
@@ -231,19 +230,19 @@ def test_lower_bound_holds_on_sweep():
     while count < 30:
         spec = random_mixture(subseed(123, f"lb-{i}"))
         i += 1
-        if coherence(spec, np.eye(spec.dim)) >= 1.0:
+        if coherence(spec, Geometry(np.eye(spec.dim))) >= 1.0:
             continue
         count += 1
-        for M in _both_preconditioners(spec):
-            r = alignment_gain_lower_bound(spec, M)
+        for geo in _both_preconditioners(spec):
+            r = alignment_gain_lower_bound(spec, geo)
             assert r["holds"]
 
 
 def test_weak_bias_reduces_to_strong_at_zero_rho():
     spec = _spec(rho_c=0.0, rho_n=0.0)
-    for M in _both_preconditioners(spec):
-        strong = alignment_gain_lower_bound(spec, M)
-        weak = weak_bias_gain_bound(spec, M)
+    for geo in _both_preconditioners(spec):
+        strong = alignment_gain_lower_bound(spec, geo)
+        weak = weak_bias_gain_bound(spec, geo)
         assert weak["lower_bound"] == pytest.approx(strong["bound"], rel=1e-12, abs=1e-12)
         assert weak["gain_direct"] == pytest.approx(strong["gain_direct"], rel=1e-12, abs=1e-12)
         assert weak["holds"]
@@ -251,11 +250,11 @@ def test_weak_bias_reduces_to_strong_at_zero_rho():
 
 def test_weak_bias_positivity_condition_flips():
     spec = _spec(eps=0.3, alpha=0.1, beta=0.1, rho_c=5.0, rho_n=5.0)
-    r = weak_bias_gain_bound(spec, np.eye(spec.dim))
+    r = weak_bias_gain_bound(spec, Geometry(np.eye(spec.dim)))
     assert not r["positivity_condition"]
     small = _spec(eps=0.3, alpha=0.1, beta=0.1, rho_c=0.0, rho_n=0.0)
-    assert weak_bias_gain_bound(small, np.eye(small.dim))["positivity_condition"] == (
-        coherence(small, np.eye(small.dim)) < 1.0
+    assert weak_bias_gain_bound(small, Geometry(np.eye(small.dim)))["positivity_condition"] == (
+        coherence(small, Geometry(np.eye(small.dim))) < 1.0
     )
 
 
@@ -267,8 +266,8 @@ def test_weak_bias_bound_holds_on_seeded_sweep():
             rho_c=float(rng.uniform(0, 0.3)),
             rho_n=float(rng.uniform(0, 0.3)),
         )
-        for M in _both_preconditioners(spec):
-            assert weak_bias_gain_bound(spec, M)["holds"]
+        for geo in _both_preconditioners(spec):
+            assert weak_bias_gain_bound(spec, geo)["holds"]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +278,7 @@ def test_weak_bias_bound_holds_on_seeded_sweep():
 def test_one_step_zero_step_size():
     spec = _spec(seed=13)
     scenario = make_one_step_scenario(5, spec)
-    r = one_step_compare(scenario, spec, np.eye(spec.dim), eta=0.0)
+    r = one_step_compare(scenario, spec, Geometry(np.eye(spec.dim)), eta=0.0)
     assert r["loss_fil"] == r["loss_train"] == r["loss_start"]
     assert r["difference_ok"]
 
@@ -287,7 +286,7 @@ def test_one_step_zero_step_size():
 def test_one_step_identical_arms_without_noise():
     spec = _spec(eps=0.0, seed=14)
     scenario = make_one_step_scenario(6, spec)
-    r = one_step_compare(scenario, spec, np.eye(spec.dim), eta=1e-3)
+    r = one_step_compare(scenario, spec, Geometry(np.eye(spec.dim)), eta=1e-3)
     assert r["loss_fil"] == pytest.approx(r["loss_train"], abs=1e-12)
 
 
@@ -295,7 +294,7 @@ def test_one_step_radius_precondition():
     spec = _spec(seed=15)
     scenario = make_one_step_scenario(7, spec, radius=1e-9)
     with pytest.raises(PreconditionError):
-        one_step_compare(scenario, spec, np.eye(spec.dim), eta=1.0)
+        one_step_compare(scenario, spec, Geometry(np.eye(spec.dim)), eta=1.0)
 
 
 def test_one_step_filtered_wins_at_half_eta_max():
@@ -304,14 +303,14 @@ def test_one_step_filtered_wins_at_half_eta_max():
     while count < 20:
         spec = random_mixture(subseed(77, f"os-{i}"))
         i += 1
-        if coherence(spec, np.eye(spec.dim)) >= 1.0 or spec.selector_skill <= 0:
+        if coherence(spec, Geometry(np.eye(spec.dim))) >= 1.0 or spec.selector_skill <= 0:
             continue
         scenario = make_one_step_scenario(subseed(77, f"scn-{i}"), spec)
-        for M in _both_preconditioners(spec):
-            probe = one_step_compare(scenario, spec, M, eta=0.0)
+        for geo in _both_preconditioners(spec):
+            probe = one_step_compare(scenario, spec, geo, eta=0.0)
             if probe["eta_max"] <= 0.0:
                 continue
-            r = one_step_compare(scenario, spec, M, eta=probe["eta_max"] / 2.0)
+            r = one_step_compare(scenario, spec, geo, eta=probe["eta_max"] / 2.0)
             assert r["descent_ok_fil"] and r["descent_ok_train"]
             assert r["difference_ok"]
             if r["gain"] > 0:
