@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import sys
+from typing import NamedTuple
 
 from . import data as D
 from . import filtering as F
@@ -27,81 +28,99 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-CONFIG_KEYS = frozenset(
-    "vocab_size d_model n_layers n_heads d_ff max_seq tie_output "
-    "kn_cutoff otsu_classes otsu_bins enabled_attributes ri_agg domain_source distance_metric "
-    "learning_rate epochs batch_size optimizer val_fraction report_every "
-    "base_epochs split_train split_val split_test seed".split()
-)
+def _choice(options: tuple[str, ...]):
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"expected one of {', '.join(options)}")
+        return text
+
+    return parse
+
+
+def _bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text.lower() == "true"
+
+
+def _attributes(text: str) -> tuple[str, ...]:
+    return tuple(_choice(F.ATTRIBUTES)(a.strip()) for a in text.split(",") if a.strip())
+
+
+# Every config key, grouped by what it configures, with the parser of its
+# value. A key the file leaves out takes its target's own default, except
+# that the CLI fine-tunes with CLI_TRAIN in place of TrainConfig's defaults.
+CONFIG_SCHEMA = {
+    "model": dict(vocab_size=int, d_model=int, n_layers=int, n_heads=int, d_ff=int, max_seq=int, tie_output=_bool),
+    "filter": dict(kn_cutoff=float, otsu_classes=int, otsu_bins=int, enabled_attributes=_attributes),
+    "scoring": dict(
+        ri_agg=_choice(S.RI_AGGS), domain_source=_choice(S.DOMAIN_SOURCES), distance_metric=_choice(S.DISTANCE_METRICS)
+    ),
+    "train": dict(
+        learning_rate=float, epochs=int, batch_size=int, optimizer=_choice(M.OPTIMIZERS), val_fraction=float,
+        report_every=int,
+    ),
+    "experiment": dict(base_epochs=int, split_train=int, split_val=int, split_test=int, seed=int),
+}
+CLI_TRAIN = {"epochs": 8, "batch_size": 16}
 SPLIT_KEYS = ("split_train", "split_val", "split_test")
 
 
-def _cfg(args) -> dict[str, str]:
-    """The --config file, rejecting a key outside CONFIG_KEYS, a tie_output
-    other than true/false, and a partial split_* triple."""
-    if not getattr(args, "config", None):
-        return {}
-    cfg = D.load_config(args.config)
-    unknown = sorted(set(cfg) - CONFIG_KEYS)
-    if unknown:
-        raise D.IngestionError(f"{args.config}: unknown config key {unknown[0]!r}")
-    if cfg.get("tie_output", "true").lower() not in ("true", "false"):
-        raise D.IngestionError(f"{args.config}: tie_output must be true or false, got {cfg['tie_output']!r}")
-    missing = [k for k in SPLIT_KEYS if k not in cfg]
+class RunConfig(NamedTuple):
+    seed: int
+    model: M.ModelConfig
+    filter: F.FilterConfig
+    train: TR.TrainConfig
+    scoring: dict  # the score_dataset keywords the file sets
+    experiment: dict  # the run_experiment keywords the file sets, besides scoring
+
+
+def load_run_config(args) -> RunConfig:
+    """Parse and check every value of the `--config` file, if the command
+    has one and it is given, whichever command reads it. A `--seed` flag
+    overrides the file's seed."""
+    path = getattr(args, "config", None)
+    parts = {target: {} for target in CONFIG_SCHEMA}
+    for key, text in (D.load_config(path) if path else {}).items():
+        target = next((t for t, keys in CONFIG_SCHEMA.items() if key in keys), None)
+        if target is None:
+            raise D.IngestionError(f"{path}: unknown config key {key!r}")
+        try:
+            parts[target][key] = CONFIG_SCHEMA[target][key](text)
+        except ValueError as exc:
+            raise D.IngestionError(f"{path}: {key} = {text!r}: {exc}") from None
+    experiment = parts["experiment"]
+    missing = [k for k in SPLIT_KEYS if k not in experiment]
     if 0 < len(missing) < len(SPLIT_KEYS):
-        raise D.IngestionError(f"{args.config}: {', '.join(SPLIT_KEYS)} go together; {missing[0]} is missing")
-    return cfg
-
-
-def _seed(args, cfg: dict[str, str]) -> int:
+        raise D.IngestionError(f"{path}: {', '.join(SPLIT_KEYS)} go together; {missing[0]} is missing")
+    if not missing:
+        experiment["split_counts"] = tuple(experiment.pop(k) for k in SPLIT_KEYS)
+    seed = experiment.pop("seed", 0)
     if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int(cfg.get("seed", "0"))
-
-
-def model_config_from(cfg: dict[str, str], seed: int) -> M.ModelConfig:
-    return M.ModelConfig(
-        vocab_size=int(cfg.get("vocab_size", D.VOCAB_SIZE)),
-        d_model=int(cfg.get("d_model", 64)),
-        n_layers=int(cfg.get("n_layers", 2)),
-        n_heads=int(cfg.get("n_heads", 2)),
-        d_ff=int(cfg.get("d_ff", 128)),
-        max_seq=int(cfg.get("max_seq", 128)),
-        seed=D.subseed(seed, "init"),
-        tie_output=cfg.get("tie_output", "true").lower() != "false",
-    )
-
-
-def filter_config_from(cfg: dict[str, str]) -> F.FilterConfig:
-    enabled = tuple(a.strip() for a in cfg.get("enabled_attributes", "RI,KN,TR").split(",") if a.strip())
-    return F.FilterConfig(
-        kn_cutoff=float(cfg.get("kn_cutoff", 0.05)),
-        otsu_classes=int(cfg.get("otsu_classes", 3)),
-        otsu_bins=int(cfg.get("otsu_bins", 256)),
-        enabled=enabled,
-    )
-
-
-def train_config_from(cfg: dict[str, str], seed: int) -> TR.TrainConfig:
-    return TR.TrainConfig(
-        learning_rate=float(cfg.get("learning_rate", 3e-3)),
-        epochs=int(cfg.get("epochs", 8)),
-        batch_size=int(cfg.get("batch_size", 16)),
-        optimizer=cfg.get("optimizer", "adam"),
-        seed=seed,
-        val_fraction=float(cfg.get("val_fraction", 0.1)),
-        report_every=int(cfg.get("report_every", 1)),
-    )
+        seed = args.seed
+    if "enabled_attributes" in parts["filter"]:
+        parts["filter"]["enabled"] = parts["filter"].pop("enabled_attributes")
+    try:
+        return RunConfig(
+            seed,
+            M.ModelConfig(**parts["model"], seed=D.subseed(seed, "init")),
+            F.FilterConfig(**parts["filter"]),
+            TR.TrainConfig(**{**CLI_TRAIN, **parts["train"]}, seed=D.subseed(seed, "shuffle")),
+            parts["scoring"],
+            experiment,
+        )
+    except ValueError as exc:
+        raise D.IngestionError(f"{path}: {exc}") from None
 
 
 def _load_examples(path) -> list[D.TokenizedExample]:
     return [D.tokenize(r) for r in D.load_dataset(path)]
 
 
-def _load_params(args, cfg: dict[str, str], seed: int) -> M.ModelParams:
-    if getattr(args, "checkpoint", None):
+def _load_params(args, run: RunConfig) -> M.ModelParams:
+    if args.checkpoint:
         return M.load_checkpoint(args.checkpoint)
-    return M.init(model_config_from(cfg, seed))
+    return M.init(run.model)
 
 
 def _write_csv(path, header: list, rows) -> None:
@@ -115,26 +134,18 @@ def _write_csv(path, header: list, rows) -> None:
 
 
 def cmd_gen_synth(args) -> int:
-    cfg = _cfg(args)
-    seed = _seed(args, cfg)
-    records = D.gen_synth(args.task, args.size, args.noise_rate, D.subseed(seed, "noise"))
+    run = load_run_config(args)
+    records = D.gen_synth(args.task, args.size, args.noise_rate, D.subseed(run.seed, "noise"))
     D.save_dataset(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
 
 def cmd_score(args) -> int:
-    cfg = _cfg(args)
-    seed = _seed(args, cfg)
+    run = load_run_config(args)
     examples = _load_examples(args.data)
-    params = _load_params(args, cfg, seed)
-    result = S.score_dataset(
-        params,
-        examples,
-        agg=cfg.get("ri_agg", "mean"),
-        domain_source=cfg.get("domain_source", "all_tokens"),
-        metric=cfg.get("distance_metric", "euclidean"),
-    )
+    params = _load_params(args, run)
+    result = S.score_dataset(params, examples, **run.scoring)
     for ex_id, msg in result.errors:
         print(f"skipped {ex_id}: {msg}", file=sys.stderr)
     S.save_scores(result.scores, args.out)
@@ -143,9 +154,9 @@ def cmd_score(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    cfg = _cfg(args)
+    run = load_run_config(args)
     scores = S.load_scores(args.scores)
-    masks, stats = F.apply_filters(scores, filter_config_from(cfg))
+    masks, stats = F.apply_filters(scores, run.filter)
     F.save_masks(masks, args.out)
     if args.stats:
         F.save_stats(stats, args.stats)
@@ -155,10 +166,9 @@ def cmd_filter(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _cfg(args)
-    seed = _seed(args, cfg)
+    run = load_run_config(args)
     examples = _load_examples(args.data)
-    params = _load_params(args, cfg, seed)
+    params = _load_params(args, run)
     masks = None
     if args.masks:
         masks = {m.id: m for m in F.load_masks(args.masks)}
@@ -166,8 +176,7 @@ def cmd_train(args) -> int:
         unknown = next((mid for mid in masks if mid not in ids), None)
         if unknown is not None:
             raise S.ConsistencyError(f"{args.masks}: mask id {unknown!r} names no example in {args.data}")
-    config = train_config_from(cfg, D.subseed(seed, "shuffle"))
-    result = TR.train(params, examples, masks, config)
+    result = TR.train(params, examples, masks, run.train)
     M.save_checkpoint(result.params, args.out)
     if args.log:
         D.write_atomic(args.log, "\n".join(json.dumps(e) for e in result.log) + "\n")
@@ -219,35 +228,24 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify_theory(args) -> int:
-    report = T.verify_theory(args.seed if args.seed is not None else 0)
+    seed = load_run_config(args).seed
+    report = T.verify_theory(seed)
     text = json.dumps(report, indent=2)
     if args.out:
         D.write_atomic(args.out, text + "\n")
     print(text)
     if args.sweep:
-        rows = T.gain_sweep_rows(args.seed if args.seed is not None else 0)
+        rows = T.gain_sweep_rows(seed)
         fields = list(rows[0].keys())
         _write_csv(args.sweep, fields, ([row[k] for k in fields] for row in rows))
     return 0 if report["all_pass"] else 2
 
 
 def cmd_run_experiment(args) -> int:
-    cfg = _cfg(args)
-    seed = _seed(args, cfg)
+    run = load_run_config(args)
     examples = _load_examples(args.data)
-    split_counts = None
-    if "split_train" in cfg:
-        split_counts = tuple(int(cfg[k]) for k in SPLIT_KEYS)
     report = TR.run_experiment(
-        examples,
-        filter_config_from(cfg),
-        train_config_from(cfg, D.subseed(seed, "shuffle")),
-        model_config=model_config_from(cfg, seed),
-        base_epochs=int(cfg.get("base_epochs", 14)),
-        split_counts=split_counts,
-        ri_agg=cfg.get("ri_agg", "mean"),
-        domain_source=cfg.get("domain_source", "all_tokens"),
-        distance_metric=cfg.get("distance_metric", "euclidean"),
+        examples, run.filter, run.train, model_config=run.model, **run.scoring, **run.experiment
     )
     text = json.dumps(report, indent=2)
     D.write_atomic(args.out, text + "\n")
@@ -255,71 +253,40 @@ def cmd_run_experiment(args) -> int:
     return 0
 
 
+# Every flag's type and default; each command lists its flags in help
+# order, with "!" marking the ones it requires.
+FLAGS = {
+    "--task": dict(default="addition", choices=D.CORPUS_TASKS),
+    "--size": dict(type=int, default=620),
+    "--noise-rate": dict(type=float, default=0.25),
+    "--seed": dict(type=int, default=None),
+    "--bins": dict(type=int, default=64),
+}
+COMMANDS = {
+    "gen-synth": (cmd_gen_synth, "generate a synthetic corpus with ground-truth noise flags",
+                  "--task --size --noise-rate --seed --config --out!"),
+    "score": (cmd_score, "score every label token with a frozen base model",
+              "--data! --checkpoint --config --seed --out!"),
+    "filter": (cmd_filter, "turn scores into noise masks", "--scores! --config --stats --out!"),
+    "train": (cmd_train, "fine-tune with (optionally) masked loss",
+              "--data! --masks --checkpoint --config --seed --log --out!"),
+    "eval": (cmd_eval, "greedy exact-match accuracy of a checkpoint", "--data! --checkpoint! --out"),
+    "report": (cmd_report, "score histograms, complementarity and filter quality",
+               "--scores! --masks! --data --bins --out-dir!"),
+    "verify-theory": (cmd_verify_theory, "run the numerical theory checks", "--seed --out --sweep"),
+    "run-experiment": (cmd_run_experiment, "twin-arm masked vs normal fine-tuning comparison",
+                       "--data! --config --seed --out!"),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="xtf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-synth", help="generate a synthetic corpus with ground-truth noise flags")
-    p.add_argument("--task", default="addition", choices=["addition", "addition_hard", "copy"])
-    p.add_argument("--size", type=int, default=620)
-    p.add_argument("--noise-rate", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_synth)
-
-    p = sub.add_parser("score", help="score every label token with a frozen base model")
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser("filter", help="turn scores into noise masks")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--stats", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_filter)
-
-    p = sub.add_parser("train", help="fine-tune with (optionally) masked loss")
-    p.add_argument("--data", required=True)
-    p.add_argument("--masks", default=None)
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--log", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="greedy exact-match accuracy of a checkpoint")
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("report", help="score histograms, complementarity and filter quality")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--masks", required=True)
-    p.add_argument("--data", default=None)
-    p.add_argument("--bins", type=int, default=64)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("verify-theory", help="run the numerical theory checks")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--sweep", default=None)
-    p.set_defaults(func=cmd_verify_theory)
-
-    p = sub.add_parser("run-experiment", help="twin-arm masked vs normal fine-tuning comparison")
-    p.add_argument("--data", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_run_experiment)
-
+    for name, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag.rstrip("!"), required=flag.endswith("!"), **FLAGS.get(flag.rstrip("!"), {}))
+        p.set_defaults(func=func)
     return parser
 
 
@@ -331,15 +298,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        FileNotFoundError,
-        D.IngestionError,
-        F.UnsupportedOperation,
-        M.InputError,
-        M.ConfigError,
-        S.ConsistencyError,
-        ValueError,
-    ) as exc:
+    except (FileNotFoundError, F.UnsupportedOperation, ValueError) as exc:  # every input error class is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

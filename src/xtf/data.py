@@ -163,6 +163,9 @@ def _inject_noise(
     return "".join(chars), flags
 
 
+CORPUS_TASKS = ("addition", "addition_hard", "copy")  # the corpora a user generates; see gen_synth
+
+
 def gen_synth(task: str, size: int, noise_rate: float, seed: int) -> list[DatasetRecord]:
     """Generate a byte-tokenizable synthetic corpus with ground-truth noise flags.
 
@@ -350,20 +353,23 @@ def load_dataset(path) -> list[DatasetRecord]:
     return records
 
 
-def parse_config_text(text: str) -> dict[str, str]:
-    """Flat `key = value` lines; '#' starts a comment."""
+def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
+    """Flat `key = value` lines; '#' starts a comment. A key may appear only
+    once. Errors name `source` and the line number."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise IngestionError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+            raise IngestionError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise IngestionError(f"{source}:{lineno}: repeated key {key!r}")
+        out[key] = value
     return out
 
 
 def load_config(path) -> dict[str, str]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        return parse_config_text(fh.read(), str(path))

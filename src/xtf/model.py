@@ -49,8 +49,9 @@ class ModelConfig:
     tie_output: bool = True
 
     def __post_init__(self):
-        if min(self.vocab_size, self.d_model, self.n_layers, self.n_heads, self.d_ff, self.max_seq) < 1:
-            raise ConfigError("all dimensions must be positive")
+        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
 
@@ -268,6 +269,7 @@ def forward(params: ModelParams, tokens) -> ForwardTrace:
 # Optimizer
 # ---------------------------------------------------------------------------
 
+OPTIMIZERS = ("sgd", "adam")  # the modes of optimizer_step
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8

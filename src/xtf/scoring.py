@@ -19,6 +19,8 @@ from .model import ForwardTrace, InputError, ModelParams, forward
 from .numerics import softmax_value
 
 RI_AGGS = ("mean", "sum", "last_layer_mean")
+DOMAIN_SOURCES = ("all_tokens", "unique_tokens")
+DISTANCE_METRICS = ("euclidean", "cosine")
 SCORE_KEYS = ("s_ri", "s_kn", "s_tr", "pcp")  # TokenScores field order
 
 
@@ -161,9 +163,9 @@ def _validate_example(params: ModelParams, ex: TokenizedExample) -> str | None:
 def score_dataset(
     params: ModelParams,
     dataset: list[TokenizedExample],
-    agg: str = "mean",
+    ri_agg: str = "mean",
     domain_source: str = "all_tokens",
-    metric: str = "euclidean",
+    distance_metric: str = "euclidean",
 ) -> ScoreResult:
     """All three scores for every example, one forward pass per example.
 
@@ -179,12 +181,12 @@ def score_dataset(
             valid.append(ex)
         else:
             errors.append((ex.id, problem))
-    domain = compute_domain_vector(params, valid, domain_source, metric)
+    domain = compute_domain_vector(params, valid, domain_source, distance_metric)
     scores: list[TokenScores] = []
     for ex in valid:
         try:
             trace = forward(params, ex.tokens)
-            s_ri = _ri_from_trace(trace, ex.l_input, len(ex.output_ids), agg)
+            s_ri = _ri_from_trace(trace, ex.l_input, len(ex.output_ids), ri_agg)
             pcp, s_kn = _kn_from_trace(trace, ex)
             s_tr = score_tr(domain, ex)
         except (InputError, ConsistencyError) as exc:

@@ -340,7 +340,6 @@ class KNBoundScenario:
     tokens: np.ndarray  # (n_pairs,)
     weights: np.ndarray  # (n_pairs,), sums to 1
     delta: float
-    lam: float = 1e-3
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -379,7 +378,7 @@ def kn_fisher(scenario: KNBoundScenario) -> np.ndarray:
         diffs = np.eye(scenario.W.shape[0]) - p[None, :]
         phis_c = diffs @ scenario.W  # row k = phi_k^T
         F += scenario.weights[i] * (phis_c * p[:, None]).T @ phis_c
-    F += scenario.lam * np.eye(d)
+    F += FISHER_DAMPING * np.eye(d)
     return (F + F.T) / 2.0
 
 

@@ -45,10 +45,12 @@ class TrainConfig:
     report_every: int = 1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if min(self.epochs, self.batch_size, self.report_every) < 1:
+            raise ValueError("epochs, batch_size and report_every must be >= 1")
+        if not 0 < self.val_fraction < 1:
+            raise ValueError("val_fraction must be in (0, 1)")
 
 
 def _kept_targets(example: TokenizedExample, mask: NoiseMask | None) -> tuple[np.ndarray, np.ndarray]:
@@ -403,7 +405,7 @@ def run_experiment(
     with _one_blas_thread(), ProcessPoolExecutor(1, initializer=_start_arm_worker, initargs=arm_inputs) as pool:
         normal = pool.submit(_unmasked_arm)
         score_result = score_dataset(
-            base_params, train_ex, agg=ri_agg, domain_source=domain_source, metric=distance_metric
+            base_params, train_ex, ri_agg=ri_agg, domain_source=domain_source, distance_metric=distance_metric
         )
         masks, stats = apply_filters(score_result.scores, filter_config)
         masked = train(base_params.copy(), train_ex, {m.id: m for m in masks}, train_config, val_set=val_ex)

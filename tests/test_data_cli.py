@@ -1,10 +1,11 @@
+import inspect
 import json
 import os
 
 import numpy as np
 import pytest
 
-from xtf import cli
+from xtf import cli, scoring, training
 from xtf.data import (
     ALPHABET,
     BOS_ID,
@@ -26,7 +27,9 @@ from xtf.data import (
     subseed,
     tokenize,
 )
-from xtf.filtering import NoiseMask, UnsupportedOperation, filter_quality
+from xtf.filtering import FilterConfig, NoiseMask, UnsupportedOperation, filter_quality
+from xtf.model import ModelConfig
+from xtf.training import TrainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +184,8 @@ def test_parse_config_text():
     assert cfg == {"a": "1", "b": "two words"}
     with pytest.raises(IngestionError):
         parse_config_text("not a pair\n")
+    with pytest.raises(IngestionError):
+        parse_config_text("a = 1\na = 2\n")
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +338,16 @@ def test_cli_rejects_bad_config_with_one_line(tmp_path, capsys):
         ("d_model = 16\ntie_output = flase\n", "score", "tie_output"),
         ("d_model = 16\nsplit_train = 8\n", "run-experiment", "split_val"),
         ("split_train = 8\nsplit_val = 2\n", "run-experiment", "split_test"),
+        ("learning_rate = abc\n", "train", f"{cfg}: learning_rate = 'abc'"),
+        ("d_model = 6x\n", "score", f"{cfg}: d_model = '6x'"),
+        ("otsu_classes = 1.5\n", "train", f"{cfg}: otsu_classes = '1.5'"),
+        ("enabled_attributes = RI,XX\n", "train", f"{cfg}: enabled_attributes = 'RI,XX'"),
+        ("ri_agg = bogus\n", "run-experiment", f"{cfg}: ri_agg = 'bogus'"),
+        ("optimizer = sgdx\n", "train", f"{cfg}: optimizer = 'sgdx'"),
+        ("learning_rate = nan\n", "train", f"{cfg}: learning_rate must be"),
+        ("val_fraction = 1.5\n", "train", f"{cfg}: val_fraction must be"),
+        ("d_model = 16\nd_model = 32\n", "score", f"{cfg}:2: repeated key 'd_model'"),
+        ("d_model = 16\nnot a pair\n", "score", f"{cfg}:2: expected 'key = value'"),
     ):
         cfg.write_text(text)
         capsys.readouterr()
@@ -342,6 +357,53 @@ def test_cli_rejects_bad_config_with_one_line(tmp_path, capsys):
         assert not out.exists()
     cfg.write_text("d_model = 16\nn_layers = 1\nn_heads = 2\nd_ff = 24\ntie_output = False\n")
     assert _run(["score", "--data", str(data), "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 0
+
+
+def test_cli_run_experiment_checks_config_before_any_work(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data.jsonl"
+    assert _run(["gen-synth", "--task", "copy", "--size", "12", "--seed", "1", "--out", str(data)]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ri_agg = bogus\n")
+
+    def no_base(*args, **kwargs):
+        raise AssertionError("prepare_base ran before the config was checked")
+
+    monkeypatch.setattr(training, "prepare_base", no_base)
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert _run(["run-experiment", "--data", str(data), "--config", str(cfg), "--out", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ri_agg" in err and err.count("\n") == 1
+    assert not report.exists()
+
+
+def test_cli_defaults_without_a_config(tmp_path, monkeypatch):
+    """What the CLI runs with no --config: the library defaults, except the
+    fine-tune's 8 epochs at batch 16, and seed 0."""
+    data = tmp_path / "data.jsonl"
+    assert _run(["gen-synth", "--task", "copy", "--size", "12", "--out", str(data)]) == 0
+    calls = {}
+
+    def recorder(fn, result):
+        def record(*args, **kwargs):
+            bound = inspect.signature(fn).bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls[fn.__name__] = bound.arguments
+            return result
+
+        return record
+
+    monkeypatch.setattr(training, "run_experiment", recorder(training.run_experiment, {}))
+    monkeypatch.setattr(scoring, "score_dataset", recorder(scoring.score_dataset, scoring.ScoreResult([], None)))
+    assert _run(["run-experiment", "--data", str(data), "--out", str(tmp_path / "report.json")]) == 0
+    assert _run(["score", "--data", str(data), "--out", str(tmp_path / "scores.jsonl")]) == 0
+    run, score = calls["run_experiment"], calls["score_dataset"]
+    assert run["model_config"] == score["params"].config == ModelConfig(seed=subseed(0, "init"))
+    assert run["filter_config"] == FilterConfig()
+    assert run["train_config"] == TrainConfig(epochs=8, batch_size=16, seed=subseed(0, "shuffle"))
+    assert run["base_epochs"] == 14 and run["split_counts"] is None
+    for args in (run, score):
+        assert (args["ri_agg"], args["domain_source"], args["distance_metric"]) == ("mean", "all_tokens", "euclidean")
 
 
 def test_cli_train_rejects_masks_of_another_dataset(tmp_path, capsys):
