@@ -298,7 +298,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FileNotFoundError, F.UnsupportedOperation, ValueError) as exc:  # every input error class is a ValueError
+    # every input error class is a ValueError; a training run that cannot go on raises TrainingError
+    except (FileNotFoundError, F.UnsupportedOperation, ValueError, M.TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

@@ -192,14 +192,15 @@ def mixture_gradients(spec: MixtureSpec, geo: Geometry | None = None) -> Mixture
     return MixtureGradients(g_core, g_noise, g_train, g_fil, z_fil)
 
 
-def _strong_terms(spec: MixtureSpec, geo: Geometry) -> tuple[MixtureGradients, float, float, float]:
-    """Strong-mode gradients, ||g_core||^2, <g_core, g_noise> and the direct
-    gain <g_core, g_fil> - <g_core, g_train>, all in geo's metric."""
+def _strong_terms(spec: MixtureSpec, geo: Geometry) -> tuple[MixtureGradients, float, float]:
+    """Strong-mode gradients, ||g_core||^2 and <g_core, g_noise>, in geo's metric."""
     grads = mixture_gradients(spec)
-    core_sq = geo.norm_sq(grads.g_core)
-    cross = geo.inner(grads.g_core, grads.g_noise)
-    gain = geo.inner(grads.g_core, grads.g_fil) - geo.inner(grads.g_core, grads.g_train)
-    return grads, core_sq, cross, gain
+    return grads, geo.norm_sq(grads.g_core), geo.inner(grads.g_core, grads.g_noise)
+
+
+def _direct_gain(geo: Geometry, g_core: np.ndarray, grads: MixtureGradients) -> float:
+    """<g_core, g_fil> - <g_core, g_train> in geo's metric."""
+    return geo.inner(g_core, grads.g_fil) - geo.inner(g_core, grads.g_train)
 
 
 def _zeta(core_sq: float, cross: float) -> float:
@@ -210,20 +211,21 @@ def _zeta(core_sq: float, cross: float) -> float:
 
 def alignment_gain_exact(spec: MixtureSpec, geo: Geometry) -> dict:
     """Closed-form alignment gain versus the direct difference of alignments."""
-    grads, core_sq, cross, gain = _strong_terms(spec, geo)
+    grads, core_sq, cross = _strong_terms(spec, geo)
     formula = (1.0 - spec.eps) * spec.eps * spec.selector_skill / grads.z_fil * (core_sq - cross)
-    return {"gain_formula": formula, "gain_direct": gain}
+    return {"gain_formula": formula, "gain_direct": _direct_gain(geo, grads.g_core, grads)}
 
 
 def coherence(spec: MixtureSpec, geo: Geometry) -> float:
     """zeta estimate: <g_core, g_noise> / ||g_core||^2 in geo's metric."""
-    _, core_sq, cross, _ = _strong_terms(spec, geo)
+    _, core_sq, cross = _strong_terms(spec, geo)
     return _zeta(core_sq, cross)
 
 
 def alignment_gain_lower_bound(spec: MixtureSpec, geo: Geometry) -> dict:
     """Strong-selector lower bound with zeta set to its estimate (tight)."""
-    grads, core_sq, cross, gain = _strong_terms(spec, geo)
+    grads, core_sq, cross = _strong_terms(spec, geo)
+    gain = _direct_gain(geo, grads.g_core, grads)
     zeta = _zeta(core_sq, cross)
     bound = (1.0 - spec.eps) * spec.eps * spec.selector_skill * (1.0 - zeta) / grads.z_fil * core_sq
     return {"bound": bound, "gain_direct": gain, "zeta": zeta, "holds": gain >= bound - 1e-12}
@@ -232,13 +234,13 @@ def alignment_gain_lower_bound(spec: MixtureSpec, geo: Geometry) -> dict:
 def weak_bias_gain_bound(spec: MixtureSpec, geo: Geometry) -> dict:
     """Bias-robust lower bound; positive whenever the selection-bias term is
     dominated by the strong-selector gain."""
-    strong, core_sq, cross, _ = _strong_terms(spec, geo)
+    strong, core_sq, cross = _strong_terms(spec, geo)
     weak = mixture_gradients(spec, geo)
     a, b = 1.0 - spec.eps, spec.eps
     gain_term = a * b * spec.selector_skill * (1.0 - _zeta(core_sq, cross))
     bias_term = a * (1.0 - spec.alpha) * spec.rho_c + b * spec.beta * spec.rho_n
     lower_bound = (gain_term - bias_term) / strong.z_fil * core_sq
-    gain_direct = geo.inner(strong.g_core, weak.g_fil) - geo.inner(strong.g_core, weak.g_train)
+    gain_direct = _direct_gain(geo, strong.g_core, weak)
     return {
         "lower_bound": lower_bound,
         "gain_direct": gain_direct,
@@ -518,7 +520,8 @@ def verify_theory(seed: int = 0) -> dict:
     violations = 0
     for spec in mixtures("sign", 100):
         for geo in _preconditioners(spec):
-            _, core_sq, cross, gain = _strong_terms(spec, geo)
+            grads, core_sq, cross = _strong_terms(spec, geo)
+            gain = _direct_gain(geo, grads.g_core, grads)
             rhs = spec.selector_skill * (core_sq - cross)
             if abs(rhs) > 1e-9 and np.sign(gain) != np.sign(rhs):
                 violations += 1

@@ -315,6 +315,15 @@ def test_cli_rejects_bad_artifacts_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "sources" in err and err.count("\n") == 1
     assert not ckpt.exists()
+    all_flagged = [json.loads(line) for line in mask_lines]
+    for obj in all_flagged:
+        obj["noise"] = [True] * len(obj["noise"])
+    masks.write_text("".join(json.dumps(obj) + "\n" for obj in all_flagged))
+    capsys.readouterr()
+    assert _run(["train", "--data", str(data), "--masks", str(masks), "--config", str(cfg), "--out", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: every training sample is fully masked\n"
+    assert not ckpt.exists()
 
     from xtf.model import ModelConfig, init, save_checkpoint
 

@@ -12,7 +12,7 @@ import pytest
 from conftest import TINY, randomize_params
 from reference_ops import log_softmax_value
 from xtf import training
-from xtf.data import EOS_ID, TokenizedExample, gen_synth, split_records, tokenize
+from xtf.data import EOS_ID, TokenizedExample, gen_synth, split_records, subseed, tokenize
 from xtf.filtering import FilterConfig, NoiseMask
 from xtf.model import InputError, ModelConfig, OptState, forward, forward_tensors, init
 from xtf.numerics import ContractError
@@ -287,6 +287,12 @@ def test_train_copy_task_reaches_high_accuracy():
     assert result.best_epoch <= 30
 
 
+def _children() -> list[str]:
+    """Pids of this process's live children, seen by the kernel rather than
+    by `multiprocessing`, so helpers it does not track count too."""
+    return [pid for task in Path("/proc/self/task").iterdir() for pid in (task / "children").read_text().split()]
+
+
 def test_run_experiment_empty_masks_tie():
     # with filtering disabled-equivalent scores (nothing flagged), both arms
     # follow identical trajectories, so the accuracies match exactly
@@ -323,6 +329,7 @@ def test_run_experiment_reports_required_fields():
         assert key in report
     assert 0.0 <= report["filtered_fraction"] <= 1.0
     assert "filter_quality" in report  # synthetic corpus carries ground truth
+    assert _children() == []
 
 
 COPY_TRAIN = TrainConfig(learning_rate=1e-2, epochs=3, batch_size=8, optimizer="adam", seed=1)
@@ -364,15 +371,17 @@ def test_run_experiment_raises_the_worker_error(monkeypatch):
     monkeypatch.setattr(training, "train", failing_unmasked_train)
     with pytest.raises(RuntimeError, match="unmasked arm failed"):
         _copy_experiment(gen_synth("copy", 120, 0.0, 3))
-    assert multiprocessing.active_children() == []
+    assert multiprocessing.active_children() == [] and _children() == []
 
 
 def test_run_experiment_raises_the_parent_error():
     # an empty test split makes evaluate raise in both processes
     with pytest.raises(ValueError, match="non-empty"):
         _copy_experiment(gen_synth("copy", 120, 0.0, 3), split_counts=(110, 10, 0))
-    assert multiprocessing.active_children() == []
+    assert multiprocessing.active_children() == [] and _children() == []
 
+
+_SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
 
 _KILL_DURING_EXPERIMENT = """
 import multiprocessing, os, signal, time
@@ -400,11 +409,10 @@ training.run_experiment(
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the worker's parent-death signal is Linux-only")
 def test_run_experiment_worker_dies_with_a_killed_parent(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
     out = tmp_path / "out.txt"
     # a file, not a pipe: a surviving worker would hold a pipe open
     with open(out, "w") as fh:
-        code = subprocess.run([sys.executable, "-c", _KILL_DURING_EXPERIMENT], stdout=fh, stderr=fh, env=env, timeout=120).returncode
+        code = subprocess.run([sys.executable, "-c", _KILL_DURING_EXPERIMENT], stdout=fh, stderr=fh, env=_SRC_ENV, timeout=120).returncode
     assert code == -signal.SIGKILL, out.read_text()
     (pid,) = [int(p) for p in out.read_text().split()]
 
@@ -436,6 +444,145 @@ def test_one_blas_thread_pins_and_restores():
         assert get() == 2
     finally:
         set_(before)
+
+
+SHARE_MODEL = ModelConfig(d_model=16, n_layers=1, n_heads=2, d_ff=24, seed=3)
+
+
+def _base_corpus(seed, n_task=40, n_background=16):
+    corpus = gen_synth("addition", n_task, 0.97, seed) + gen_synth("symbol_noise", n_background, 0.0, seed + 1)
+    return [tokenize(r) for r in corpus]
+
+
+@pytest.mark.parametrize("max_seq, batch_size", [(128, 6), (48, 8)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_base_with_the_worker_share_is_bitwise_the_single_process_base(seed, max_seq, batch_size):
+    # (128, 6) cuts most batches into one run, which the worker never gets;
+    # (48, 8) cuts them into 3-4 runs, so the worker sums two runs at times
+    model_config = ModelConfig(d_model=16, n_layers=1, n_heads=2, d_ff=24, max_seq=max_seq, seed=seed + 3)
+    cfg = TrainConfig(learning_rate=3e-3, epochs=1, batch_size=batch_size, optimizer="adam", seed=seed)
+    examples = _base_corpus(seed)
+    order = np.random.default_rng(subseed(seed, "warmup")).permutation(len(examples))  # warmup_base's first epoch
+    batches = [[examples[i] for i in order[j : j + batch_size]] for j in range(0, len(order), batch_size)]
+    run_counts = {len(_runs(batch, max_seq)) for batch in batches}
+    assert {1, 2} <= run_counts if max_seq == 128 else max(run_counts) >= 4
+    with training._one_blas_thread():
+        alone = training.warmup_base(init(model_config), examples, cfg, 2)
+        with training._ArmWorker(model_config) as worker:
+            shared = training.warmup_base(init(model_config), examples, cfg, 2, worker)
+        assert shared.fingerprint() == alone.fingerprint()
+        kwargs = dict(task_size=20, background_size=10)
+        alone = prepare_base(model_config, cfg, 1, seed, **kwargs)
+        with training._ArmWorker(model_config) as worker:
+            shared = prepare_base(model_config, cfg, 1, seed, **kwargs, worker=worker)
+        assert shared.fingerprint() == alone.fingerprint()
+    assert _children() == []
+
+
+def test_prefix_share_balances_rows():
+    assert training._prefix_share([100]) == 0
+    assert training._prefix_share([126, 120, 60]) == 1
+    assert training._prefix_share([40, 46, 46, 23]) == 2
+    assert training._prefix_share([10, 10, 100]) == 2
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the worker by fork")
+@pytest.mark.parametrize("sides", [("worker",), ("parent",), ("worker", "parent")])
+def test_a_non_finite_run_names_the_same_run_with_the_worker_share(sides, monkeypatch):
+    # the last run of the worker's share, the first of the parent's or both
+    # diverge; the first one in run order is named
+    cfg = TrainConfig(learning_rate=3e-3, epochs=1, batch_size=16, optimizer="adam", seed=1)
+    examples = _base_corpus(1, n_task=60, n_background=30)
+    order = np.random.default_rng(subseed(cfg.seed, "warmup")).permutation(len(examples))
+    runs = _runs([examples[i] for i in order[32:48]], SHARE_MODEL.max_seq)  # the third batch
+    k = training._prefix_share([sum(len(ex.tokens) for ex in run) for run in runs])
+    bad = [runs[k - 1 if side == "worker" else k][0].id for side in sides]
+    plain_packed_loss = training.packed_loss
+
+    def diverging_packed_loss(params, run, masks):
+        loss, grads = plain_packed_loss(params, run, masks)
+        return (np.inf if any(ex.id in bad for ex in run) else loss), grads
+
+    monkeypatch.setattr(training, "packed_loss", diverging_packed_loss)
+    with pytest.raises(training.TrainingError, match=bad[0]) as alone:
+        training.warmup_base(init(SHARE_MODEL), examples, cfg, 1)
+    with training._ArmWorker(SHARE_MODEL) as worker, pytest.raises(training.TrainingError) as shared:
+        training.warmup_base(init(SHARE_MODEL), examples, cfg, 1, worker)
+    assert str(shared.value) == str(alone.value)
+    assert _children() == []
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the worker by fork")
+@pytest.mark.parametrize("side", ["worker", "parent"])
+def test_run_experiment_raises_a_base_phase_error_at_once(side, monkeypatch):
+    # 40 base epochs take well over 10 s; an error on either side in the first
+    # batch ends the experiment within seconds and leaves no process behind
+    parent_pid = os.getpid()
+    plain_packed_loss = training.packed_loss
+
+    def failing_packed_loss(params, examples, masks):
+        if (os.getpid() == parent_pid) == (side == "parent"):
+            raise RuntimeError(f"base run failed in the {side}")
+        return plain_packed_loss(params, examples, masks)
+
+    monkeypatch.setattr(training, "packed_loss", failing_packed_loss)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match=f"base run failed in the {side}"):
+        run_experiment(
+            [tokenize(r) for r in gen_synth("addition", 60, 0.25, 4)],
+            FilterConfig(),
+            TrainConfig(epochs=1, batch_size=16, seed=1),
+            model_config=ModelConfig(seed=9),
+            base_epochs=40,
+            split_counts=(40, 10, 10),
+        )
+    assert time.monotonic() - start < 10.0
+    assert _children() == []
+
+
+_SESSION_EXPERIMENT = """
+from xtf import training
+from xtf.data import gen_synth, tokenize
+from xtf.filtering import FilterConfig
+from xtf.model import ModelConfig
+
+training.run_experiment(
+    [tokenize(r) for r in gen_synth("addition", 60, 0.25, 4)],
+    FilterConfig(),
+    training.TrainConfig(epochs=1, batch_size=16, seed=1),
+    model_config=ModelConfig(d_model=16, n_layers=1, n_heads=2, d_ff=24, seed=9),
+    base_epochs=1,
+    split_counts=(40, 10, 10),
+)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_run_experiment_leaves_no_process_of_its_session(tmp_path):
+    with open(tmp_path / "out.txt", "w") as fh:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _SESSION_EXPERIMENT], stdout=fh, stderr=fh, env=_SRC_ENV, start_new_session=True
+        )
+        assert proc.wait(timeout=120) == 0, (tmp_path / "out.txt").read_text()
+
+    def session_members():
+        members = []
+        for stat in Path("/proc").glob("[0-9]*/stat"):
+            try:
+                fields = stat.read_text().rsplit(")", 1)[-1].split()
+            except OSError:
+                continue
+            if int(fields[3]) == proc.pid:  # the session id; the leader's pid under start_new_session
+                members.append(stat.parent.name)
+        return members
+
+    deadline = time.monotonic() + 5.0
+    while session_members() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = session_members()
+    for pid in left:
+        os.kill(int(pid), signal.SIGKILL)
+    assert left == []
 
 
 def test_prepare_base_deterministic():
