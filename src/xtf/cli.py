@@ -180,6 +180,12 @@ def cmd_train(args) -> int:
     M.save_checkpoint(result.params, args.out)
     if args.log:
         D.write_atomic(args.log, "\n".join(json.dumps(e) for e in result.log) + "\n")
+    if result.log and "error" in result.log[-1]:
+        stop = result.log[-1]
+        raise M.TrainingError(
+            f"training stopped in epoch {stop['epoch']}: {stop['error']}; "
+            f"the best checkpoint so far (epoch {result.best_epoch}) -> {args.out}"
+        )
     print(f"best epoch {result.best_epoch} val_acc {result.best_val_acc:.3f} -> {args.out}")
     return 0
 

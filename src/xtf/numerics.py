@@ -9,8 +9,12 @@ finite differences (`finite_diff_check` in tests/reference_ops.py).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import sys
 import threading
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -340,3 +344,64 @@ def softmax_value(x: np.ndarray, axis: int = -1) -> np.ndarray:
     the arithmetic on the small vectors of the theory lab."""
     e = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
     return e / np.add.reduce(e, axis=axis, keepdims=True)
+
+
+# ---------------------------------------------------------------------------
+# Process set-up shared by the worker processes of training and scoring.
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _openblas_threads():
+    """The loaded OpenBLAS's thread-count getter and setter, or None when
+    numpy links another BLAS or the loaded libraries cannot be listed."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and ".so" in ln})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold the loaded OpenBLAS at one thread, then restore its count. With
+    one busy process per core (the twin arms, or the slices of scoring), a
+    second BLAS thread in any of them would spin on another's core. Does
+    nothing under other BLAS builds."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def die_with_parent() -> None:
+    """On Linux, have the kernel kill this process when the thread that
+    started it exits, so a killed parent leaves no worker blocked forever.
+    Does nothing elsewhere."""
+    if sys.platform.startswith("linux"):
+        import signal
+
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG

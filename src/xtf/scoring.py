@@ -9,6 +9,7 @@ context-free embedding sits to the dataset centroid (task relevance).
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .data import TokenizedExample, fmt_float, write_atomic
 from .model import ForwardTrace, InputError, ModelParams, forward
-from .numerics import softmax_value
+from .numerics import die_with_parent, one_blas_thread, softmax_value
 
 RI_AGGS = ("mean", "sum", "last_layer_mean")
 DOMAIN_SOURCES = ("all_tokens", "unique_tokens")
@@ -75,7 +76,10 @@ def _ri_from_trace(trace: ForwardTrace, l_input: int, n_out: int, agg: str) -> n
     for k in range(n_out):
         p = l_input + k
         received = att[:, :, p + 1 :, p] if p + 1 < seq else att[:, :, p, p]
-        s_ri[k] = received.sum() if agg == "sum" else received.mean()
+        # np.add.reduce is what `sum` computes, and divided by the size what
+        # `mean` computes, without their wrappers
+        total = np.add.reduce(received, axis=None)
+        s_ri[k] = total if agg == "sum" else total / received.size
     return s_ri
 
 
@@ -160,6 +164,88 @@ def _validate_example(params: ModelParams, ex: TokenizedExample) -> str | None:
     return None
 
 
+def _score_slice(
+    params: ModelParams, examples: list[TokenizedExample], domain: DomainVector, ri_agg: str
+) -> tuple[list[TokenScores], list[tuple[str, str]]]:
+    """Scores of `examples`, one forward pass each, and the (id, message)
+    of each example that could not be scored."""
+    scores: list[TokenScores] = []
+    errors: list[tuple[str, str]] = []
+    for ex in examples:
+        try:
+            trace = forward(params, ex.tokens)
+            s_ri = _ri_from_trace(trace, ex.l_input, len(ex.output_ids), ri_agg)
+            pcp, s_kn = _kn_from_trace(trace, ex)
+            s_tr = score_tr(domain, ex)
+        except (InputError, ConsistencyError) as exc:
+            errors.append((ex.id, str(exc)))
+            continue
+        scores.append(TokenScores(ex.id, s_ri, s_kn, s_tr, pcp))
+    return scores, errors
+
+
+def _token_slices(examples: list[TokenizedExample], parts: int) -> list[tuple[int, int]]:
+    """Bounds of at most `parts` contiguous, non-empty slices of `examples`,
+    cut after the example at which the running token count first reaches
+    each multiple of 1/`parts` of the total."""
+    total = sum(len(ex.tokens) for ex in examples)
+    bounds, seen = [0], 0
+    for i, ex in enumerate(examples[:-1]):
+        seen += len(ex.tokens)
+        if seen * parts >= total * len(bounds):
+            bounds.append(i + 1)
+    return list(zip(bounds, bounds[1:] + [len(examples)]))
+
+
+_helper_state: tuple = ()  # set only in a scoring helper, by its initializer
+
+
+def _start_helper(*state) -> None:
+    """Initializer of a scoring helper. Its state (the params, the valid
+    examples, the domain vector and the RI pooling) comes with the process
+    (inherited under fork), so only slice bounds are sent to it."""
+    global _helper_state
+    _helper_state = state
+    die_with_parent()
+
+
+def _score_helper_slice(start: int, stop: int) -> tuple[list[TokenScores], list[tuple[str, str]]]:
+    """`_score_slice` of examples[start:stop], run in a helper."""
+    params, examples, domain, ri_agg = _helper_state
+    with one_blas_thread():
+        return _score_slice(params, examples[start:stop], domain, ri_agg)
+
+
+def _score_split(
+    params: ModelParams,
+    examples: list[TokenizedExample],
+    domain: DomainVector,
+    ri_agg: str,
+    slices: list[tuple[int, int]],
+) -> list[tuple[list[TokenScores], list[tuple[str, str]]]]:
+    """`_score_slice` of every slice, in order: one helper process each
+    scores all but the last, which this process scores meanwhile. The
+    helpers have exited when this returns or raises."""
+    import multiprocessing  # here, not at module level: only a split needs them
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Linux's default context forks: a helper starts in milliseconds with the
+    # state in place, where a spawned one would spend ~0.3 s importing numpy
+    # and this package before unpickling the params and the examples
+    state = (params, examples, domain, ri_agg)
+    with ProcessPoolExecutor(
+        len(slices) - 1, multiprocessing.get_context(), initializer=_start_helper, initargs=state
+    ) as pool:
+        helpers = [pool.submit(_score_helper_slice, start, stop) for start, stop in slices[:-1]]
+        try:
+            own = _score_slice(params, examples[slices[-1][0] :], domain, ri_agg)
+        finally:
+            # a helper's error, on an earlier slice, wins over this process's
+            # as it would in one loop; `with` then waits for the helpers to exit
+            parts = [helper.result() for helper in helpers]
+    return parts + [own]
+
+
 def score_dataset(
     params: ModelParams,
     dataset: list[TokenizedExample],
@@ -172,6 +258,13 @@ def score_dataset(
     Invalid examples are skipped (collected with ids) rather than aborting
     the run; the domain vector is built over the valid subset. The frozen
     params are never written to.
+
+    The valid examples are cut into contiguous slices of about equal token
+    counts, one per core this process may run on; forked helpers score all
+    but the last while this process scores the last, each with BLAS at one
+    thread. The result is bitwise that of one loop over the examples, and
+    no helper outlives the call. With one core or one valid example, no
+    process starts.
     """
     errors: list[tuple[str, str]] = []
     valid: list[TokenizedExample] = []
@@ -182,17 +275,15 @@ def score_dataset(
         else:
             errors.append((ex.id, problem))
     domain = compute_domain_vector(params, valid, domain_source, distance_metric)
-    scores: list[TokenScores] = []
-    for ex in valid:
-        try:
-            trace = forward(params, ex.tokens)
-            s_ri = _ri_from_trace(trace, ex.l_input, len(ex.output_ids), ri_agg)
-            pcp, s_kn = _kn_from_trace(trace, ex)
-            s_tr = score_tr(domain, ex)
-        except (InputError, ConsistencyError) as exc:
-            errors.append((ex.id, str(exc)))
-            continue
-        scores.append(TokenScores(ex.id, s_ri, s_kn, s_tr, pcp))
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    slices = _token_slices(valid, cores)
+    with one_blas_thread():
+        if len(slices) == 1:
+            parts = [_score_slice(params, valid, domain, ri_agg)]
+        else:
+            parts = _score_split(params, valid, domain, ri_agg, slices)
+    scores = [s for part_scores, _ in parts for s in part_scores]
+    errors += [e for _, part_errors in parts for e in part_errors]
     return ScoreResult(scores, domain, errors)
 
 

@@ -8,11 +8,7 @@ validation exact match.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,6 +201,8 @@ def _epoch_pass(
     return total_loss / len(examples)
 
 
+# a non-finite value ends the run (see below), so numpy need not also warn of it
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     params: ModelParams,
     dataset: list[TokenizedExample],
@@ -216,8 +214,9 @@ def train(
 
     Samples whose mask covers every label token are dropped up front (and
     counted in the log). The checkpoint with the highest validation exact
-    match is returned; ties go to the earlier epoch. A non-finite loss
-    aborts with the best checkpoint so far plus a diagnostic log entry.
+    match is returned; ties go to the earlier epoch. A non-finite loss or
+    non-finite logits end the run with the best checkpoint so far and a
+    last log entry holding the epoch and the error.
     """
     if val_set is None:
         n_val = max(1, int(len(dataset) * config.val_fraction))
@@ -241,7 +240,7 @@ def train(
     for epoch in range(1, config.epochs + 1):
         try:
             train_loss = _epoch_pass(work, usable, masks, config, rng, opt_state)
-        except TrainingError as exc:
+        except (TrainingError, FloatingPointError) as exc:  # a non-finite loss, or non-finite logits
             result.log.append({"epoch": epoch, "error": str(exc)})
             break
         val_acc = evaluate(work, val_set)
@@ -308,50 +307,6 @@ def prepare_base(
     corpus += gen_synth("symbol_noise", background_size, 0.0, subseed(seed, "base-background"))
     examples = [tokenize(r) for r in corpus]
     return warmup_base(params, examples, train_config, base_epochs, worker)
-
-
-@functools.cache
-def _openblas_threads():
-    """The loaded OpenBLAS's thread-count getter and setter, or None when
-    numpy links another BLAS or the loaded libraries cannot be listed."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and ".so" in ln})
-    except OSError:
-        return None
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
-                set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    return get, set_
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold the loaded OpenBLAS at one thread, then restore its count. With
-    the two arms in two processes on two cores, a second BLAS thread in
-    either would spin on the other's core. Does nothing under other BLAS
-    builds."""
-    threads = _openblas_threads()
-    if threads is None:
-        yield
-        return
-    get, set_ = threads
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
 
 
 def _shared_params(buffer, config: ModelConfig) -> ModelParams:
@@ -460,12 +415,7 @@ def _start_arm_worker(*state) -> None:
     killed experiment leaves no worker blocked forever."""
     global _worker_state
     _worker_state = state
-    if sys.platform.startswith("linux"):
-        import signal
-
-        prctl = ctypes.CDLL(None).prctl
-        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    nm.die_with_parent()
 
 
 def _serve_base_shares() -> None:
@@ -475,7 +425,7 @@ def _serve_base_shares() -> None:
     params_buffer, grads_buffer, conn, config = _worker_state[:4]
     params = _shared_params(params_buffer, config)
     acc = [t.value for t in _shared_params(grads_buffer, config).values()]
-    with _one_blas_thread():
+    with nm.one_blas_thread():
         while True:
             while not conn.poll(0):  # busy-waits, as `_ArmWorker.collect` says why
                 pass
@@ -497,7 +447,7 @@ def _unmasked_arm() -> tuple[float, float]:
     """The unmasked arm of `run_experiment`, run in its worker process:
     test accuracy and best validation accuracy of a plain fine-tune."""
     params_buffer, _, _, config, train_ex, val_ex, test_ex, train_config = _worker_state
-    with _one_blas_thread():
+    with nm.one_blas_thread():
         normal = train(_shared_params(params_buffer, config), train_ex, None, train_config, val_set=val_ex)
         return evaluate(normal.params, test_ex), normal.best_val_acc
 
@@ -530,7 +480,7 @@ def run_experiment(
     error during the base raises at once; any other error propagates once
     the worker has finished. The worker has exited when this returns.
     """
-    with _one_blas_thread():
+    with nm.one_blas_thread():
         train_ex, val_ex, test_ex = split_records(dataset, counts=split_counts)
         val_ex = [strip_noise(ex) for ex in val_ex]
         test_ex = [strip_noise(ex) for ex in test_ex]

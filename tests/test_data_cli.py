@@ -1,6 +1,9 @@
 import inspect
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from xtf.data import (
     tokenize,
 )
 from xtf.filtering import FilterConfig, NoiseMask, UnsupportedOperation, filter_quality
-from xtf.model import ModelConfig
+from xtf.model import ModelConfig, init, load_checkpoint
 from xtf.training import TrainConfig
 
 
@@ -476,6 +479,40 @@ def test_cli_idempotent_stage_outputs(tmp_path):
     _run(["score", "--data", str(data), "--config", str(cfg), "--seed", "1", "--out", str(scores1)])
     _run(["score", "--data", str(data), "--config", str(cfg), "--seed", "1", "--out", str(scores2)])
     assert scores1.read_bytes() == scores2.read_bytes()
+
+
+def test_cli_score_split_and_serial_write_the_same_bytes(tmp_path, monkeypatch):
+    # twice split over three processes, then in this process alone
+    data = tmp_path / "data.jsonl"
+    _run(["gen-synth", "--size", "40", "--noise-rate", "0.25", "--seed", "4", "--out", str(data)])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d_model = 16\nn_layers = 1\nn_heads = 2\nd_ff = 24\n")
+    outputs = []
+    for cores in ({0, 1, 2}, {0, 1, 2}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores, raising=False)
+        outputs.append(tmp_path / f"scores{len(outputs)}.jsonl")
+        assert _run(["score", "--data", str(data), "--config", str(cfg), "--seed", "4", "--out", str(outputs[-1])]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes() == outputs[2].read_bytes()
+
+
+def test_cli_train_diverging_exits_1_with_one_line(tmp_path):
+    # the first update at this rate overflows the next batch's logits
+    data, cfg, ckpt, log = (tmp_path / name for name in ("data.jsonl", "run.cfg", "model.ckpt", "log.jsonl"))
+    _run(["gen-synth", "--size", "60", "--seed", "0", "--out", str(data)])
+    cfg.write_text("learning_rate = 1e300\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "xtf.cli", "train", "--data", str(data), "--config", str(cfg), "--log", str(log), "--out", str(ckpt)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: training stopped in epoch 1: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stdout == ""
+    assert [json.loads(line) for line in log.read_text().splitlines()] == [
+        {"epoch": 1, "error": "sequence_nll input contains non-finite values"}
+    ]
+    # the best checkpoint so far is the starting one: no epoch was validated
+    assert load_checkpoint(ckpt).fingerprint() == init(ModelConfig(seed=subseed(0, "init"))).fingerprint()
 
 
 def test_cli_train_ignores_allfalse_vs_no_masks(tmp_path):

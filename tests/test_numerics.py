@@ -292,3 +292,18 @@ def test_feed_forward_is_bitwise_the_unfused_ops():
     assert fused.value.tobytes() == plain.value.tobytes()
     for a, b in zip(fused_grads, plain_grads):
         assert a.tobytes() == b.tobytes()
+
+
+def test_one_blas_thread_pins_and_restores():
+    threads = nm._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy does not link OpenBLAS here")
+    get, set_ = threads
+    before = get()
+    set_(2)
+    try:
+        with nm.one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+    finally:
+        set_(before)

@@ -1,11 +1,21 @@
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from conftest import TINY
+from conftest import TINY, randomize_params
+from xtf import scoring
 from xtf.data import TokenizedExample
 from xtf.model import InputError, init, forward
-from xtf.numerics import softmax_value
+from xtf.numerics import one_blas_thread, softmax_value
 from xtf.scoring import (
+    DISTANCE_METRICS,
+    DOMAIN_SOURCES,
+    RI_AGGS,
+    SCORE_KEYS,
     ConsistencyError,
     DomainVector,
     _kn_from_trace,
@@ -60,6 +70,28 @@ def test_score_ri_range_and_aggs(tiny_params):
     assert np.all(_ri_from_trace(trace, ex.l_input, 4, "sum") >= 0.0)
     with pytest.raises(ValueError):
         _ri_from_trace(trace, ex.l_input, 4, "median")
+
+
+def _ri_by_mean(attention, l_input, n_out, agg):
+    att = attention if agg != "last_layer_mean" else attention[-1:]
+    seq = att.shape[-1]
+    out = []
+    for p in range(l_input, l_input + n_out):
+        received = att[:, :, p + 1 :, p] if p + 1 < seq else att[:, :, p, p]
+        out.append(received.sum() if agg == "sum" else received.mean())
+    return np.array(out)
+
+
+def test_ri_pooling_is_bitwise_the_mean_formula():
+    rng = np.random.default_rng(12)
+    for _ in range(120):
+        n_layers, n_heads, seq = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(2, 120))
+        attention = softmax_value(rng.normal(scale=3.0, size=(n_layers, n_heads, seq, seq)))
+        l_input = int(rng.integers(1, seq))
+        trace = SimpleNamespace(attention=attention)
+        for agg in RI_AGGS:
+            got = _ri_from_trace(trace, l_input, seq - l_input, agg)
+            assert got.tobytes() == _ri_by_mean(attention, l_input, seq - l_input, agg).tobytes(), (seq, agg)
 
 
 def test_score_kn_uniform_logits():
@@ -286,3 +318,178 @@ def test_load_scores_rejects_malformed_files(tmp_path, tiny_params, mangle):
     path.write_text("".join(json.dumps(o) + "\n" for o in objs))
     with pytest.raises(InputError):
         load_scores(path)
+
+
+# ---------------------------------------------------------------------------
+# Scoring split across processes: bitwise the one loop, and no process left
+# ---------------------------------------------------------------------------
+
+
+def _serial_scores(params, dataset, ri_agg="mean", domain_source="all_tokens", distance_metric="euclidean"):
+    """`score_dataset` as one loop over the examples, in this process."""
+    errors, valid = [], []
+    for ex in dataset:
+        problem = scoring._validate_example(params, ex)
+        if problem is None:
+            valid.append(ex)
+        else:
+            errors.append((ex.id, problem))
+    domain = compute_domain_vector(params, valid, domain_source, distance_metric)
+    scores = []
+    with one_blas_thread():
+        for ex in valid:
+            try:
+                trace = forward(params, ex.tokens)
+                s_ri = _ri_from_trace(trace, ex.l_input, len(ex.output_ids), ri_agg)
+                pcp, s_kn = _kn_from_trace(trace, ex)
+                s_tr = scoring.score_tr(domain, ex)
+            except (InputError, ConsistencyError) as exc:
+                errors.append((ex.id, str(exc)))
+                continue
+            scores.append(scoring.TokenScores(ex.id, s_ri, s_kn, s_tr, pcp))
+    return scoring.ScoreResult(scores, domain, errors)
+
+
+def _assert_same_result(got, want):
+    assert [s.id for s in got.scores] == [s.id for s in want.scores]
+    for a, b in zip(got.scores, want.scores):
+        for key in SCORE_KEYS:
+            assert getattr(a, key).tobytes() == getattr(b, key).tobytes(), (a.id, key)
+    assert got.errors == want.errors
+    assert got.domain.centroid.tobytes() == want.domain.centroid.tobytes()
+    assert (got.domain.token_distances, got.domain.d_min, got.domain.d_max) == (
+        want.domain.token_distances, want.domain.d_min, want.domain.d_max
+    )
+
+
+def _random_dataset(seed, n=24):
+    rng = np.random.default_rng(seed)
+    return [
+        _example(
+            rng.integers(0, TINY.vocab_size, int(rng.integers(1, 8))).tolist(),
+            rng.integers(0, TINY.vocab_size, int(rng.integers(1, 6))).tolist(),
+            f"r{i}",
+        )
+        for i in range(n)
+    ]
+
+
+@pytest.fixture
+def three_cores(monkeypatch):
+    """Three cores to split over, whatever this machine has: two helpers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    def refuse():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", refuse)
+
+
+fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the helpers by fork")
+
+
+def test_token_slices_balance_tokens_and_are_never_empty():
+    examples = [_example([1] * (n - 1), [2]) for n in (10, 10, 10, 10, 10, 10)]
+    assert scoring._token_slices(examples, 1) == [(0, 6)]
+    assert scoring._token_slices(examples, 2) == [(0, 3), (3, 6)]
+    assert scoring._token_slices(examples, 3) == [(0, 2), (2, 4), (4, 6)]
+    uneven = [_example([1] * (n - 1), [2]) for n in (50, 5, 5, 5, 5)]
+    assert scoring._token_slices(uneven, 2) == [(0, 1), (1, 5)]
+    # the first example holds more than two thirds of the tokens, so the next
+    # cut follows the next example
+    assert scoring._token_slices(uneven, 3) == [(0, 1), (1, 2), (2, 5)]
+    assert scoring._token_slices(examples[:1], 4) == [(0, 1)]
+
+
+@pytest.mark.parametrize("distance_metric", DISTANCE_METRICS)
+@pytest.mark.parametrize("domain_source", DOMAIN_SOURCES)
+@pytest.mark.parametrize("ri_agg", RI_AGGS)
+def test_split_scoring_is_bitwise_the_serial_loop(ri_agg, domain_source, distance_metric, three_cores):
+    params = randomize_params(init(TINY), seed=5)
+    dataset = _random_dataset(3)
+    kwargs = dict(ri_agg=ri_agg, domain_source=domain_source, distance_metric=distance_metric)
+    assert len(scoring._token_slices(dataset, 3)) == 3
+    _assert_same_result(score_dataset(params, dataset, **kwargs), _serial_scores(params, dataset, **kwargs))
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_split_scoring_keeps_the_errors_and_their_order(three_cores, monkeypatch):
+    # invalid examples interleaved (caught before the split), and examples
+    # in every slice that fail while scored (caught in the slice)
+    params = randomize_params(init(TINY), seed=6)
+    dataset = _random_dataset(4, n=30)
+    dataset[2] = _example([1] * TINY.max_seq, [3], "too-long")
+    dataset[9] = _example([1, 2], [TINY.vocab_size], "out-of-vocab")
+    dataset[17] = _example([], [4], "empty-input")
+    dataset[25] = _example([3], [], "empty-label")
+    failing = {"r1", "r14", "r28"}
+    plain_score_tr = scoring.score_tr
+
+    def failing_score_tr(domain, example):
+        if example.id in failing:
+            raise ConsistencyError(f"{example.id} fails")
+        return plain_score_tr(domain, example)
+
+    monkeypatch.setattr(scoring, "score_tr", failing_score_tr)
+    valid = [ex for ex in dataset if scoring._validate_example(params, ex) is None]
+    slices = scoring._token_slices(valid, 3)
+    assert len(slices) == 3 and all(
+        any(ex.id in failing for ex in valid[start:stop]) for start, stop in slices
+    )
+    got = score_dataset(params, dataset)
+    want = _serial_scores(params, dataset)
+    assert [i for i, _ in want.errors] == ["too-long", "out-of-vocab", "empty-input", "empty-label", "r1", "r14", "r28"]
+    _assert_same_result(got, want)
+
+
+def test_one_valid_example_starts_no_process(three_cores, no_fork):
+    params = randomize_params(init(TINY), seed=7)
+    dataset = [_example([1] * TINY.max_seq, [3], "too-long"), _example([1, 2], [3, 4], "only"), _example([2], [], "e")]
+    _assert_same_result(score_dataset(params, dataset), _serial_scores(params, dataset))
+
+
+def test_one_core_starts_no_process(monkeypatch, no_fork):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    params = randomize_params(init(TINY), seed=8)
+    dataset = _random_dataset(5)
+    _assert_same_result(score_dataset(params, dataset), _serial_scores(params, dataset))
+
+
+@fork_only
+@pytest.mark.parametrize("side", ["helper", "parent", "both"])
+def test_split_scoring_reraises_an_error_and_leaves_no_process(side, three_cores, monkeypatch):
+    # a helper's error, on an earlier slice, wins over this process's
+    parent_pid = os.getpid()
+    plain_forward = scoring.forward
+
+    def failing_forward(params, tokens):
+        in_helper = os.getpid() != parent_pid
+        if side == "both" or in_helper == (side == "helper"):
+            raise RuntimeError("in the helper" if in_helper else "in the parent")
+        return plain_forward(params, tokens)
+
+    monkeypatch.setattr(scoring, "forward", failing_forward)
+    params = randomize_params(init(TINY), seed=9)
+    with pytest.raises(RuntimeError, match="in the parent" if side == "parent" else "in the helper"):
+        score_dataset(params, _random_dataset(6))
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_a_helper_that_dies_makes_scoring_raise(three_cores, monkeypatch):
+    parent_pid = os.getpid()
+    plain_forward = scoring.forward
+
+    def dying_forward(params, tokens):
+        if os.getpid() != parent_pid:
+            os._exit(3)
+        return plain_forward(params, tokens)
+
+    monkeypatch.setattr(scoring, "forward", dying_forward)
+    with pytest.raises(BrokenProcessPool):
+        score_dataset(randomize_params(init(TINY), seed=10), _random_dataset(7))
+    assert multiprocessing.active_children() == []

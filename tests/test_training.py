@@ -11,6 +11,7 @@ import pytest
 
 from conftest import TINY, randomize_params
 from reference_ops import log_softmax_value
+from xtf import numerics as nm
 from xtf import training
 from xtf.data import EOS_ID, TokenizedExample, gen_synth, split_records, subseed, tokenize
 from xtf.filtering import FilterConfig, NoiseMask
@@ -274,6 +275,17 @@ def test_train_selects_best_validation_epoch():
     assert result.best_epoch == first_best
 
 
+def test_a_diverging_fine_tune_logs_the_error_and_returns_the_best_checkpoint():
+    # the first update at this rate overflows the next batch's logits, which
+    # `sequence_nll` rejects before any loss is computed
+    examples = [tokenize(r) for r in gen_synth("addition", 60, 0.25, 0)]
+    params = init(ModelConfig(seed=9))
+    result = train(params, examples, None, TrainConfig(learning_rate=1e300, epochs=3, seed=0))
+    assert result.log == [{"epoch": 1, "error": "sequence_nll input contains non-finite values"}]
+    assert (result.best_epoch, result.best_val_acc) == (0, -1.0)
+    assert result.params.fingerprint() == params.fingerprint()
+
+
 def test_train_copy_task_reaches_high_accuracy():
     # end-to-end harness sanity: the sanity task is learnable fast at the
     # default training config
@@ -385,6 +397,7 @@ _SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(__file__).paren
 
 _KILL_DURING_EXPERIMENT = """
 import multiprocessing, os, signal, time
+from xtf import numerics as nm
 from xtf import training
 from xtf.data import gen_synth, tokenize
 from xtf.filtering import FilterConfig
@@ -431,21 +444,6 @@ def test_run_experiment_worker_dies_with_a_killed_parent(tmp_path):
         pytest.fail("the worker outlived its parent")
 
 
-def test_one_blas_thread_pins_and_restores():
-    threads = training._openblas_threads()
-    if threads is None:
-        pytest.skip("numpy does not link OpenBLAS here")
-    get, set_ = threads
-    before = get()
-    set_(2)
-    try:
-        with training._one_blas_thread():
-            assert get() == 1
-        assert get() == 2
-    finally:
-        set_(before)
-
-
 SHARE_MODEL = ModelConfig(d_model=16, n_layers=1, n_heads=2, d_ff=24, seed=3)
 
 
@@ -466,7 +464,7 @@ def test_base_with_the_worker_share_is_bitwise_the_single_process_base(seed, max
     batches = [[examples[i] for i in order[j : j + batch_size]] for j in range(0, len(order), batch_size)]
     run_counts = {len(_runs(batch, max_seq)) for batch in batches}
     assert {1, 2} <= run_counts if max_seq == 128 else max(run_counts) >= 4
-    with training._one_blas_thread():
+    with nm.one_blas_thread():
         alone = training.warmup_base(init(model_config), examples, cfg, 2)
         with training._ArmWorker(model_config) as worker:
             shared = training.warmup_base(init(model_config), examples, cfg, 2, worker)
@@ -541,6 +539,7 @@ def test_run_experiment_raises_a_base_phase_error_at_once(side, monkeypatch):
 
 
 _SESSION_EXPERIMENT = """
+from xtf import numerics as nm
 from xtf import training
 from xtf.data import gen_synth, tokenize
 from xtf.filtering import FilterConfig
