@@ -358,8 +358,8 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 def load_checkpoint(path) -> ModelParams:
     """Read a checkpoint written by `save_checkpoint`. Anything else (short,
-    overlong, or with tensors other than `param_shapes` of its config)
-    raises InputError."""
+    overlong, with tensors other than `param_shapes` of its config, or with
+    a non-finite weight) raises InputError naming the first fault."""
     with open(path, "rb") as fh:
         blob = fh.read()
     off = 0
@@ -403,6 +403,8 @@ def load_checkpoint(path) -> ModelParams:
         if off + n_bytes > len(blob):
             raise InputError(f"{path}: truncated checkpoint ({len(blob)} bytes)")
         arr = np.frombuffer(blob, dtype="<f8", count=n_bytes // 8, offset=off).reshape(dims)
+        if not np.isfinite(arr).all():
+            raise InputError(f"{path}: tensor {want_name!r} has non-finite values")
         tensors[want_name] = Tensor(arr.copy())
         off += n_bytes
     if off != len(blob):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import os
 import sys
 import threading
 from contextlib import contextmanager
@@ -393,6 +394,11 @@ def one_blas_thread():
         yield
     finally:
         set_(before)
+
+
+def available_cores() -> int:
+    """How many cores this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def die_with_parent() -> None:

@@ -9,7 +9,6 @@ context-free embedding sits to the dataset centroid (task relevance).
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .data import TokenizedExample, fmt_float, write_atomic
 from .model import ForwardTrace, InputError, ModelParams, forward
-from .numerics import die_with_parent, one_blas_thread, softmax_value
+from .numerics import available_cores, die_with_parent, one_blas_thread, softmax_value
 
 RI_AGGS = ("mean", "sum", "last_layer_mean")
 DOMAIN_SOURCES = ("all_tokens", "unique_tokens")
@@ -275,8 +274,7 @@ def score_dataset(
         else:
             errors.append((ex.id, problem))
     domain = compute_domain_vector(params, valid, domain_source, distance_metric)
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    slices = _token_slices(valid, cores)
+    slices = _token_slices(valid, available_cores())
     with one_blas_thread():
         if len(slices) == 1:
             parts = [_score_slice(params, valid, domain, ri_agg)]

@@ -153,6 +153,28 @@ def _runs(batch: list[TokenizedExample], max_seq: int) -> list[list[TokenizedExa
     return runs
 
 
+def _check_loss(loss: float, run: tuple) -> None:
+    if not math.isfinite(loss):
+        raise TrainingError(f"non-finite loss on the run of samples {[ex.id for ex in run[0]]!r}")
+
+
+def _gradient_sum(params: ModelParams, runs: list[tuple]) -> tuple[list[float], list[np.ndarray]]:
+    """The losses of `runs` (`packed_loss` argument pairs) and their
+    gradient sum, added in run order with one run's gradients held at a
+    time. The first run whose loss is not finite raises TrainingError."""
+    losses, acc = [], None
+    for run in runs:
+        loss, grads = packed_loss(params, *run)
+        _check_loss(loss, run)
+        losses.append(loss)
+        if acc is None:
+            acc = grads
+        else:
+            for a, g in zip(acc, grads):
+                a += g
+    return losses, acc
+
+
 def _epoch_pass(
     params: ModelParams,
     examples: list[TokenizedExample],
@@ -160,15 +182,14 @@ def _epoch_pass(
     config: TrainConfig,
     rng: np.random.Generator,
     opt_state: OptState,
-    worker: _ArmWorker | None = None,
+    worker: _ShareWorker | None = None,
 ) -> float:
     """One shuffled epoch of batched updates; returns mean per-sample loss.
 
     Each batch is packed into runs of up to `max_seq` rows with one taped
     pass each; the update uses the summed gradient over the batch size, the
-    mean of the per-sample gradients. With a `worker` holding `params`, it
-    computes a prefix of each batch's runs meanwhile; its gradient sum comes
-    first, so the runs are added in the same order either way."""
+    mean of the per-sample gradients. A `worker` holding `params` computes a
+    share of each batch (`_ShareWorker.gradient_sum`), bitwise the same."""
     order = rng.permutation(len(examples))
     total_loss = 0.0
     for start in range(0, len(order), config.batch_size):
@@ -176,24 +197,9 @@ def _epoch_pass(
         runs = [
             (run, [masks.get(ex.id) if masks else None for ex in run]) for run in _runs(batch, params.config.max_seq)
         ]
-        k = worker.share(runs) if worker else 0
-        if k:  # this process's runs while the worker computes its share; `acc` is its gradient sum
-            own = [packed_loss(params, *run) for run in runs[k:]]
-            losses, acc = worker.collect()
-            results = [(loss, None) for loss in losses] + own
-        else:  # one run at a time, so one run's gradients are held at a time
-            results, acc = (packed_loss(params, *run) for run in runs), None
-        for (run, _), (loss, grads) in zip(runs, results):
-            if not math.isfinite(loss):
-                raise TrainingError(f"non-finite loss on the run of samples {[ex.id for ex in run]!r}")
+        losses, acc = worker.gradient_sum(params, runs) if worker else _gradient_sum(params, runs)
+        for loss in losses:
             total_loss += loss
-            if grads is None:  # the worker's run, in its sum already
-                continue
-            if acc is None:
-                acc = grads
-            else:
-                for a, g in zip(acc, grads):
-                    a += g
         scale = 1.0 / len(batch)
         for a in acc:
             a *= scale
@@ -201,8 +207,11 @@ def _epoch_pass(
     return total_loss / len(examples)
 
 
-# a non-finite value ends the run (see below), so numpy need not also warn of it
-@np.errstate(over="ignore", invalid="ignore")
+def _usable(dataset: list[TokenizedExample], masks: dict[str, NoiseMask] | None) -> list[TokenizedExample]:
+    """The samples whose mask leaves some label token to learn from."""
+    return [ex for ex in dataset if not (masks and ex.id in masks and all(masks[ex.id].noise))]
+
+
 def train(
     params: ModelParams,
     dataset: list[TokenizedExample],
@@ -217,29 +226,50 @@ def train(
     match is returned; ties go to the earlier epoch. A non-finite loss or
     non-finite logits end the run with the best checkpoint so far and a
     last log entry holding the epoch and the error.
+
+    When this process may run on more than one core and some batch can
+    span more than one `max_seq` run, a forked share worker computes a
+    prefix of every batch's runs, with BLAS at one thread in both
+    processes. The result is bitwise the single-process one, and the worker
+    has exited when this returns or raises.
     """
     if val_set is None:
         n_val = max(1, int(len(dataset) * config.val_fraction))
         val_set, dataset, _ = split_records(dataset, counts=(n_val, len(dataset) - n_val, 0))
+    longest = sorted(len(ex.tokens) for ex in _usable(dataset, masks))[-config.batch_size :]
+    if nm.available_cores() < 2 or sum(longest) <= params.config.max_seq:
+        return _train(params, dataset, masks, config, val_set)
+    with nm.one_blas_thread(), _ShareWorker(params.config) as worker:
+        return _train(params, dataset, masks, config, val_set, worker)
 
-    usable = []
-    dropped = 0
-    for ex in dataset:
-        mask = masks.get(ex.id) if masks else None
-        if mask is not None and all(mask.noise):
-            dropped += 1
-        else:
-            usable.append(ex)
+
+# a non-finite value ends the run (see `train`), so numpy need not also warn of it
+@np.errstate(over="ignore", invalid="ignore")
+def _train(
+    params: ModelParams,
+    dataset: list[TokenizedExample],
+    masks: dict[str, NoiseMask] | None,
+    config: TrainConfig,
+    val_set: list[TokenizedExample],
+    worker: _ShareWorker | None = None,
+    peer=None,
+) -> TrainResult:
+    """`train`'s epoch loop, in this process alone unless a `worker` shares
+    every batch. A `peer` future that has failed by the start of an epoch
+    raises its error there."""
+    usable = _usable(dataset, masks)
     if not usable:
         raise TrainingError("every training sample is fully masked")
 
-    work = params.copy()
+    work = params.copy() if worker is None else worker.hold(params)
     opt_state = OptState()
     rng = np.random.default_rng(config.seed)
     result = TrainResult(params=work.copy(), best_epoch=0, best_val_acc=-1.0)
     for epoch in range(1, config.epochs + 1):
+        if peer is not None and peer.done():
+            peer.result()  # raises the peer's error
         try:
-            train_loss = _epoch_pass(work, usable, masks, config, rng, opt_state)
+            train_loss = _epoch_pass(work, usable, masks, config, rng, opt_state, worker)
         except (TrainingError, FloatingPointError) as exc:  # a non-finite loss, or non-finite logits
             result.log.append({"epoch": epoch, "error": str(exc)})
             break
@@ -250,7 +280,7 @@ def train(
                     "epoch": epoch,
                     "train_loss": train_loss,
                     "val_acc": val_acc,
-                    "dropped_fully_masked": dropped,
+                    "dropped_fully_masked": len(dataset) - len(usable),
                 }
             )
         if val_acc > result.best_val_acc:
@@ -265,7 +295,7 @@ def warmup_base(
     dataset: list[TokenizedExample],
     config: TrainConfig,
     epochs: int,
-    worker: _ArmWorker | None = None,
+    worker: _ShareWorker | None = None,
 ) -> ModelParams:
     """Unmasked pretraining pass used to prepare a base checkpoint: the
     scorers need a model with some competence before its attention,
@@ -288,7 +318,7 @@ def prepare_base(
     task_size: int = 300,
     background_size: int = 120,
     decoration_rate: float = 0.97,
-    worker: _ArmWorker | None = None,
+    worker: _ShareWorker | None = None,
 ) -> ModelParams:
     """Build a base checkpoint from scratch on pretraining data disjoint
     from any fine-tuning corpus: heavily decorated task-format documents
@@ -329,15 +359,15 @@ def _prefix_share(rows: list[int]) -> int:
     return min(range(1, len(rows)), key=lambda k: max(sum(rows[:k]), total - sum(rows[:k])), default=0)
 
 
-class _ArmWorker:
-    """The one worker process of `run_experiment`.
+class _ShareWorker:
+    """A worker process that computes a prefix of every batch's runs.
 
-    Until `run_arm`, it computes a prefix of each base batch's runs: it
-    reads the parameters this process `hold`s in one shared buffer, gets
-    the runs through a pipe (`share`), writes their gradient sum into a
-    second shared buffer and sends their losses back (`collect`). Then it
-    trains the unmasked arm from the base left in the first buffer. Its
-    process has exited when the `with` block ends, by return or raise."""
+    It reads the parameters this process `hold`s in one shared buffer, gets
+    its runs through a pipe, writes their gradient sum into a second shared
+    buffer and sends their losses back (`gradient_sum`). The worker of
+    `run_experiment`, given the arm's inputs, then trains the unmasked arm
+    from the base left in the first buffer (`run_arm`). Its process has
+    exited when the `with` block ends, by return or raise."""
 
     def __init__(self, config: ModelConfig, *arm_inputs):
         import multiprocessing  # here, not at module level: ~20 ms off `import xtf.training`
@@ -350,15 +380,15 @@ class _ArmWorker:
         self._grads = [t.value for t in _shared_params(grads_buffer, config).values()]
         self._conn, self._worker_conn = ctx.Pipe()
         state = (params_buffer, grads_buffer, self._worker_conn, config, *arm_inputs)
-        self._pool = ProcessPoolExecutor(1, ctx, initializer=_start_arm_worker, initargs=state)
-        self._serving = self._pool.submit(_serve_base_shares)
+        self._pool = ProcessPoolExecutor(1, ctx, initializer=_start_share_worker, initargs=state)
+        self._serving = self._pool.submit(_serve_shares)
 
-    def __enter__(self) -> _ArmWorker:
+    def __enter__(self) -> _ShareWorker:
         return self
 
     def __exit__(self, *exc_info) -> None:
         if not self._serving.done():
-            self._conn.send(None)  # ends the worker's base loop, so the pool can shut down
+            self._conn.send(None)  # ends the worker's share loop, so the pool can shut down
         self._pool.shutdown()
         self._conn.close()
         self._worker_conn.close()
@@ -370,16 +400,35 @@ class _ArmWorker:
             t.value[...] = src.value
         return self._params
 
-    def share(self, runs: list[tuple]) -> int:
-        """Send the worker its prefix of `runs` (`packed_loss` argument
-        pairs) and return the prefix's length."""
+    def gradient_sum(self, params: ModelParams, runs: list[tuple]) -> tuple[list[float], list[np.ndarray]]:
+        """`_gradient_sum` of `runs`, of which the worker computes the prefix
+        that best balances rows while this process computes the rest. The
+        worker's sum comes first, so the runs are added in the same order
+        and the result is bitwise the same; so is the error raised, the
+        first in run order. This process holds its runs' gradients until
+        the worker's sum arrives: on the benchmark's `long_context_train`
+        (3-7 such runs a batch, 2-vCPU VM) that raised peak memory by ~3%,
+        and copying them into buffers reused every batch measured no lower."""
         k = _prefix_share([sum(len(ex.tokens) for ex in run) for run, _ in runs])
-        if k:
-            self._conn.send(runs[:k])
-        return k
+        if not k:
+            return _gradient_sum(params, runs)
+        self._conn.send(runs[:k])
+        own = []
+        try:
+            for run in runs[k:]:
+                loss, grads = packed_loss(params, *run)
+                _check_loss(loss, run)
+                own.append((loss, grads))
+        finally:
+            losses, acc = self.collect()  # a worker's error, on an earlier run, wins
+        for loss, grads in own:
+            losses.append(loss)
+            for a, g in zip(acc, grads):
+                a += g
+        return losses, acc
 
     def collect(self) -> tuple[list[float], list[np.ndarray]]:
-        """The losses of the shared runs and their gradient sum (views of
+        """The losses of the worker's runs and their gradient sum (views of
         the shared buffer) once the worker has them. A worker that raises or
         dies first makes this raise at once.
 
@@ -391,7 +440,7 @@ class _ArmWorker:
         while not self._conn.poll(0):
             if self._serving.done():
                 self._serving.result()  # raises the worker's error
-                raise TrainingError("the worker stopped computing base runs")
+                raise TrainingError("the worker stopped computing its share")
         return self._conn.recv(), self._grads
 
     def run_arm(self, base_params: ModelParams):
@@ -406,40 +455,35 @@ class _ArmWorker:
 _worker_state: tuple = ()  # set only in the worker process, by its initializer
 
 
-def _start_arm_worker(*state) -> None:
-    """Initializer of `_ArmWorker`'s process. Its state (the shared buffers,
-    its end of the pipe, the model config and the arm's inputs) comes with
-    the process itself (inherited under fork, pickled by the starting thread
-    otherwise), so the pool's feeder thread never pickles it. On Linux the
-    kernel kills the worker when the process that started it dies, so a
-    killed experiment leaves no worker blocked forever."""
+def _start_share_worker(*state) -> None:
+    """Initializer of `_ShareWorker`'s process. Its state (the shared
+    buffers, its end of the pipe, the model config and any arm inputs) comes
+    with the process itself (inherited under fork, pickled by the starting
+    thread otherwise), so the pool's feeder thread never pickles it. On
+    Linux the kernel kills the worker when the process that started it
+    dies, so a killed run leaves no worker blocked forever."""
     global _worker_state
     _worker_state = state
     nm.die_with_parent()
 
 
-def _serve_base_shares() -> None:
-    """The worker's part of the base, until the parent sends None: for each
-    list of runs, their gradient sum in run order into the shared buffer,
-    then their losses back through the pipe."""
+def _serve_shares() -> None:
+    """The worker's part of every batch, until the parent sends None: for
+    each list of runs, `_gradient_sum` into the shared buffer, then the
+    losses back through the pipe. A diverging run raises here, as in the
+    parent (`train`'s log takes the error), and needs no numpy warning."""
     params_buffer, grads_buffer, conn, config = _worker_state[:4]
     params = _shared_params(params_buffer, config)
     acc = [t.value for t in _shared_params(grads_buffer, config).values()]
-    with nm.one_blas_thread():
+    with nm.one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         while True:
-            while not conn.poll(0):  # busy-waits, as `_ArmWorker.collect` says why
+            while not conn.poll(0):  # busy-waits, as `_ShareWorker.collect` says why
                 pass
             if (runs := conn.recv()) is None:
                 return
-            losses = []
-            for run in runs:
-                loss, grads = packed_loss(params, *run)
-                for a, g in zip(acc, grads):
-                    if losses:
-                        a += g
-                    else:
-                        a[...] = g
-                losses.append(loss)
+            losses, grads = _gradient_sum(params, runs)
+            for a, g in zip(acc, grads):
+                a[...] = g
             conn.send(losses)
 
 
@@ -448,7 +492,7 @@ def _unmasked_arm() -> tuple[float, float]:
     test accuracy and best validation accuracy of a plain fine-tune."""
     params_buffer, _, _, config, train_ex, val_ex, test_ex, train_config = _worker_state
     with nm.one_blas_thread():
-        normal = train(_shared_params(params_buffer, config), train_ex, None, train_config, val_set=val_ex)
+        normal = _train(_shared_params(params_buffer, config), train_ex, None, train_config, val_ex)
         return evaluate(normal.params, test_ex), normal.best_val_acc
 
 
@@ -476,16 +520,18 @@ def run_experiment(
     One worker process starts first. It computes a share of every batch of
     `prepare_base` (the base is bitwise the single-process one), then
     trains the unmasked arm while this process scores, filters and trains
-    the masked arm; BLAS is held at one thread in both throughout. A worker
-    error during the base raises at once; any other error propagates once
-    the worker has finished. The worker has exited when this returns.
+    the masked arm, each arm in one process; BLAS is held at one thread in
+    both throughout. A worker error during the base raises at once, and one
+    in the unmasked arm at the masked arm's next epoch; an error in this
+    process propagates once the worker has finished. The worker has exited
+    when this returns.
     """
     with nm.one_blas_thread():
         train_ex, val_ex, test_ex = split_records(dataset, counts=split_counts)
         val_ex = [strip_noise(ex) for ex in val_ex]
         test_ex = [strip_noise(ex) for ex in test_ex]
         config = model_config if base_params is None else base_params.config
-        with _ArmWorker(config, train_ex, val_ex, test_ex, train_config) as worker:
+        with _ShareWorker(config, train_ex, val_ex, test_ex, train_config) as worker:
             if base_params is None:
                 base_params = prepare_base(model_config, train_config, base_epochs, train_config.seed, worker=worker)
             normal = worker.run_arm(base_params)
@@ -493,7 +539,7 @@ def run_experiment(
                 base_params, train_ex, ri_agg=ri_agg, domain_source=domain_source, distance_metric=distance_metric
             )
             masks, stats = apply_filters(score_result.scores, filter_config)
-            masked = train(base_params.copy(), train_ex, {m.id: m for m in masks}, train_config, val_set=val_ex)
+            masked = _train(base_params.copy(), train_ex, {m.id: m for m in masks}, train_config, val_ex, peer=normal)
             xtf_acc = evaluate(masked.params, test_ex)
             normal_acc, normal_val_acc = normal.result()
 

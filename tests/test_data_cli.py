@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from xtf import cli, scoring, training
 from xtf.data import (
@@ -513,6 +515,83 @@ def test_cli_train_diverging_exits_1_with_one_line(tmp_path):
     ]
     # the best checkpoint so far is the starting one: no epoch was validated
     assert load_checkpoint(ckpt).fingerprint() == init(ModelConfig(seed=subseed(0, "init"))).fingerprint()
+
+
+def test_cli_train_shared_and_serial_write_the_same_bytes(tmp_path, monkeypatch):
+    # twice with the share worker, then in this process alone
+    data = tmp_path / "data.jsonl"
+    _run(["gen-synth", "--size", "60", "--noise-rate", "0.25", "--seed", "5", "--out", str(data)])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d_model = 16\nn_layers = 1\nn_heads = 2\nd_ff = 24\nepochs = 2\n")
+    shared = []
+    plain_collect = training._ShareWorker.collect
+    monkeypatch.setattr(training._ShareWorker, "collect", lambda self: shared.append(None) or plain_collect(self))
+    outputs = []
+    for cores in ({0, 1}, {0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores, raising=False)
+        ckpt, log = tmp_path / f"model{len(outputs)}.ckpt", tmp_path / f"log{len(outputs)}.jsonl"
+        assert _run(["train", "--data", str(data), "--config", str(cfg), "--seed", "5", "--log", str(log), "--out", str(ckpt)]) == 0
+        outputs.append(ckpt.read_bytes() + log.read_bytes())
+        if cores == {0, 1}:
+            assert shared, "the worker computed no share"
+            shared.clear()
+    assert not shared
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _tiny_cli_files(tmp_path):
+    data, cfg = tmp_path / "data.jsonl", tmp_path / "run.cfg"
+    _run(["gen-synth", "--size", "6", "--seed", "1", "--out", str(data)])
+    cfg.write_text("d_model = 8\nn_layers = 1\nn_heads = 2\nd_ff = 8\nepochs = 1\n")
+    return data, cfg
+
+
+def test_cli_rejects_a_non_finite_checkpoint_with_one_line(tmp_path, capsys):
+    from xtf.model import save_checkpoint
+
+    data, cfg = _tiny_cli_files(tmp_path)
+    params = init(ModelConfig(d_model=8, n_layers=1, n_heads=2, d_ff=8))
+    params["layer0.attn.wq"].value[1, 2] = np.nan
+    ckpt, out = tmp_path / "model.ckpt", tmp_path / "out"
+    save_checkpoint(params, ckpt)
+    capsys.readouterr()
+    for args in (
+        ["score", "--data", str(data), "--checkpoint", str(ckpt), "--config", str(cfg), "--out", str(out)],
+        ["eval", "--data", str(data), "--checkpoint", str(ckpt), "--out", str(out)],
+        ["train", "--data", str(data), "--checkpoint", str(ckpt), "--config", str(cfg), "--out", str(out)],
+    ):
+        assert _run(args) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {ckpt}: tensor 'layer0.attn.wq' has non-finite values\n"
+        assert not out.exists()
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cut=st.integers(0, 10**6), flip=st.tuples(st.integers(0, 10**6), st.integers(1, 255)) | st.none())
+def test_a_damaged_checkpoint_loads_finite_or_exits_1_with_one_line(tmp_path, capsys, cut, flip):
+    # a byte flipped (when `flip` is given) or the file cut short (otherwise)
+    from xtf.model import InputError, save_checkpoint
+
+    data = tmp_path / "data.jsonl"
+    if not data.exists():
+        _tiny_cli_files(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(init(ModelConfig(d_model=8, n_layers=1, n_heads=2, d_ff=8)), ckpt)
+    blob = bytearray(ckpt.read_bytes())
+    if flip is None:
+        del blob[cut % len(blob) :]
+    else:
+        blob[flip[0] % len(blob)] ^= flip[1]
+    ckpt.write_bytes(bytes(blob))
+    try:
+        params = load_checkpoint(ckpt)
+    except InputError:
+        capsys.readouterr()
+        assert _run(["eval", "--data", str(data), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert all(np.isfinite(t.value).all() for t in params.values())
 
 
 def test_cli_train_ignores_allfalse_vs_no_masks(tmp_path):

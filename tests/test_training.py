@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -13,7 +14,7 @@ from conftest import TINY, randomize_params
 from reference_ops import log_softmax_value
 from xtf import numerics as nm
 from xtf import training
-from xtf.data import EOS_ID, TokenizedExample, gen_synth, split_records, subseed, tokenize
+from xtf.data import EOS_ID, TokenizedExample, gen_synth, split_records, strip_noise, subseed, tokenize
 from xtf.filtering import FilterConfig, NoiseMask
 from xtf.model import InputError, ModelConfig, OptState, forward, forward_tensors, init
 from xtf.numerics import ContractError
@@ -348,11 +349,11 @@ COPY_TRAIN = TrainConfig(learning_rate=1e-2, epochs=3, batch_size=8, optimizer="
 COPY_MODEL = ModelConfig(d_model=32, n_layers=1, n_heads=2, d_ff=64, seed=9)
 
 
-def _copy_experiment(records, split_counts=(100, 10, 10)):
+def _copy_experiment(records, split_counts=(100, 10, 10), train_config=COPY_TRAIN):
     return run_experiment(
         [tokenize(r) for r in records],
         FilterConfig(enabled=("KN",)),
-        COPY_TRAIN,
+        train_config,
         model_config=COPY_MODEL,
         base_epochs=0,
         split_counts=split_counts,
@@ -373,16 +374,20 @@ def test_run_experiment_unmasked_arm_equals_sequential_train():
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the worker by fork")
 def test_run_experiment_raises_the_worker_error(monkeypatch):
-    plain_train = training.train
+    # the masked arm's 1000 epochs would take ~40 s; the unmasked arm's error
+    # ends it at its next epoch instead
+    plain_train = training._train
 
-    def failing_unmasked_train(params, dataset, masks, config, val_set=None):
+    def failing_unmasked_train(params, dataset, masks, *args, **kwargs):
         if masks is None:
             raise RuntimeError("unmasked arm failed")
-        return plain_train(params, dataset, masks, config, val_set=val_set)
+        return plain_train(params, dataset, masks, *args, **kwargs)
 
-    monkeypatch.setattr(training, "train", failing_unmasked_train)
+    monkeypatch.setattr(training, "_train", failing_unmasked_train)
+    start = time.monotonic()
     with pytest.raises(RuntimeError, match="unmasked arm failed"):
-        _copy_experiment(gen_synth("copy", 120, 0.0, 3))
+        _copy_experiment(gen_synth("copy", 120, 0.0, 3), train_config=dataclasses.replace(COPY_TRAIN, epochs=1000))
+    assert time.monotonic() - start < 10.0
     assert multiprocessing.active_children() == [] and _children() == []
 
 
@@ -466,12 +471,12 @@ def test_base_with_the_worker_share_is_bitwise_the_single_process_base(seed, max
     assert {1, 2} <= run_counts if max_seq == 128 else max(run_counts) >= 4
     with nm.one_blas_thread():
         alone = training.warmup_base(init(model_config), examples, cfg, 2)
-        with training._ArmWorker(model_config) as worker:
+        with training._ShareWorker(model_config) as worker:
             shared = training.warmup_base(init(model_config), examples, cfg, 2, worker)
         assert shared.fingerprint() == alone.fingerprint()
         kwargs = dict(task_size=20, background_size=10)
         alone = prepare_base(model_config, cfg, 1, seed, **kwargs)
-        with training._ArmWorker(model_config) as worker:
+        with training._ShareWorker(model_config) as worker:
             shared = prepare_base(model_config, cfg, 1, seed, **kwargs, worker=worker)
         assert shared.fingerprint() == alone.fingerprint()
     assert _children() == []
@@ -504,7 +509,7 @@ def test_a_non_finite_run_names_the_same_run_with_the_worker_share(sides, monkey
     monkeypatch.setattr(training, "packed_loss", diverging_packed_loss)
     with pytest.raises(training.TrainingError, match=bad[0]) as alone:
         training.warmup_base(init(SHARE_MODEL), examples, cfg, 1)
-    with training._ArmWorker(SHARE_MODEL) as worker, pytest.raises(training.TrainingError) as shared:
+    with training._ShareWorker(SHARE_MODEL) as worker, pytest.raises(training.TrainingError) as shared:
         training.warmup_base(init(SHARE_MODEL), examples, cfg, 1, worker)
     assert str(shared.value) == str(alone.value)
     assert _children() == []
@@ -589,3 +594,112 @@ def test_prepare_base_deterministic():
     a = prepare_base(ModelConfig(seed=2), cfg, 1, 7, task_size=20, background_size=10)
     b = prepare_base(ModelConfig(seed=2), cfg, 1, 7, task_size=20, background_size=10)
     assert a.fingerprint() == b.fingerprint()
+
+
+fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the worker by fork")
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two cores to share over, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    def refuse():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", refuse)
+
+
+@pytest.fixture
+def shared_batches(monkeypatch):
+    """One entry per batch whose runs `train` shares with its worker."""
+    batches = []
+    plain_collect = training._ShareWorker.collect
+
+    def counting_collect(self):
+        batches.append(None)
+        return plain_collect(self)
+
+    monkeypatch.setattr(training._ShareWorker, "collect", counting_collect)
+    return batches
+
+
+def _masked_corpus(seed, n=48):
+    """Addition examples with their ground-truth masks; every seventh mask
+    covers its whole label, so `train` drops that sample."""
+    examples = [tokenize(r) for r in gen_synth("addition", n, 0.3, seed)]
+    masks = {ex.id: NoiseMask(ex.id, list(ex.noise), [("GT",) if f else () for f in ex.noise]) for ex in examples}
+    for ex in examples[::7]:
+        masks[ex.id] = NoiseMask(ex.id, [True] * len(ex.output_ids), [("GT",)] * len(ex.output_ids))
+    return examples, masks
+
+
+def _same_result(a, b):
+    assert a.params.fingerprint() == b.params.fingerprint()
+    assert (a.log, a.best_epoch, a.best_val_acc) == (b.log, b.best_epoch, b.best_val_acc)
+
+
+@pytest.mark.parametrize("seed, max_seq, batch_size", [(0, 48, 8), (1, 64, 16), (2, 128, 12)])
+def test_train_with_the_share_worker_is_bitwise_the_single_process_loop(
+    seed, max_seq, batch_size, two_cores, shared_batches
+):
+    # batches of 1-6 runs: the worker sums one to three runs while this
+    # process holds one to three runs' gradients
+    model_config = ModelConfig(d_model=16, n_layers=1, n_heads=2, d_ff=24, max_seq=max_seq, seed=seed + 3)
+    cfg = TrainConfig(learning_rate=3e-2, epochs=3, batch_size=batch_size, optimizer="adam", seed=seed)
+    examples, masks = _masked_corpus(seed)
+    val_set = [strip_noise(ex) for ex in examples[:8]]
+    alone = training._train(init(model_config), examples[8:], masks, cfg, val_set)
+    shared = train(init(model_config), examples[8:], masks, cfg, val_set=val_set)
+    assert shared_batches
+    _same_result(shared, alone)
+    assert alone.log[0]["dropped_fully_masked"] == 5  # examples 14, 21, 28, 35 and 42
+    assert multiprocessing.active_children() == [] and _children() == []
+
+
+def test_a_diverging_fine_tune_logs_the_same_error_with_the_share_worker(two_cores, shared_batches):
+    # the second batch's first run is the worker's, which raises on the
+    # overflowed logits; this process reports that error, as the loop does
+    examples = [tokenize(r) for r in gen_synth("addition", 60, 0.25, 0)]
+    params = init(ModelConfig(seed=9))
+    cfg = TrainConfig(learning_rate=1e300, epochs=3, batch_size=16, seed=0)
+    alone = training._train(params, examples[6:], None, cfg, examples[:6])
+    shared = train(params, examples[6:], None, cfg, val_set=examples[:6])
+    assert shared_batches
+    _same_result(shared, alone)
+    assert shared.log == [{"epoch": 1, "error": "sequence_nll input contains non-finite values"}]
+    assert multiprocessing.active_children() == [] and _children() == []
+
+
+@fork_only
+@pytest.mark.parametrize("sides", [("worker",), ("parent",), ("worker", "parent")])
+def test_train_raises_an_error_of_either_process_and_leaves_no_process(sides, two_cores, monkeypatch):
+    # with both failing, the worker's error wins: its runs come first
+    parent_pid = os.getpid()
+    plain_packed_loss = training.packed_loss
+
+    def failing_packed_loss(params, examples, masks):
+        side = "parent" if os.getpid() == parent_pid else "worker"
+        if side in sides:
+            raise RuntimeError(f"run failed in the {side}")
+        return plain_packed_loss(params, examples, masks)
+
+    monkeypatch.setattr(training, "packed_loss", failing_packed_loss)
+    examples = [tokenize(r) for r in gen_synth("addition", 40, 0.25, 1)]
+    with pytest.raises(RuntimeError, match=f"run failed in the {sides[0]}"):
+        train(init(SHARE_MODEL), examples, None, TrainConfig(epochs=2, batch_size=16, seed=1))
+    assert multiprocessing.active_children() == [] and _children() == []
+
+
+@pytest.mark.parametrize("cores, batch_size", [({0}, 16), ({0, 1}, 4)])
+def test_train_starts_no_process_on_one_core_or_when_no_batch_spans_two_runs(cores, batch_size, monkeypatch, no_fork):
+    # four addition samples never fill SHARE_MODEL's 128 rows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+    examples = [tokenize(r) for r in gen_synth("addition", 40, 0.25, 2)]
+    assert sum(sorted(len(ex.tokens) for ex in examples)[-4:]) <= SHARE_MODEL.max_seq
+    cfg = TrainConfig(learning_rate=3e-3, epochs=2, batch_size=batch_size, seed=2)
+    alone = training._train(init(SHARE_MODEL), examples[4:], None, cfg, examples[:4])
+    _same_result(train(init(SHARE_MODEL), examples[4:], None, cfg, val_set=examples[:4]), alone)
