@@ -1,7 +1,8 @@
 """Command-line surface: generate data, score it, filter it, fine-tune,
 evaluate, report, and verify the theory checks.
 
-Exit codes: 0 success, 1 input/usage error, 2 internal assertion failure.
+Exit codes: 0 success, 1 input/usage error or a failed run (a diverging
+fine-tune, a dead worker process), 2 internal assertion failure.
 """
 
 from __future__ import annotations
@@ -304,8 +305,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    # every input error class is a ValueError; a training run that cannot go on raises TrainingError
-    except (FileNotFoundError, F.UnsupportedOperation, ValueError, M.TrainingError) as exc:
+    # every input error class is a ValueError; a run that cannot go on raises TrainingError or ChildProcessError
+    except (FileNotFoundError, F.UnsupportedOperation, ValueError, M.TrainingError, ChildProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

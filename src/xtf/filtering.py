@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -336,8 +336,8 @@ def save_masks(masks: Iterable[NoiseMask], path) -> None:
 
 def load_masks(path) -> list[NoiseMask]:
     """Read a masks file. Each line needs a string id, a list of boolean
-    `noise` flags and a `sources` list of lists of the same length, and no
-    id may repeat; otherwise InputError."""
+    `noise` flags and a `sources` list, of the same length, of lists of
+    attribute names, and no id may repeat; otherwise InputError."""
     masks = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
@@ -358,8 +358,10 @@ def load_masks(path) -> list[NoiseMask]:
                 raise InputError(f"{path}:{lineno}: id {mid!r} appears more than once")
             if not isinstance(noise, list) or not all(type(f) is bool for f in noise):
                 raise InputError(f"{path}:{lineno}: noise of {mid!r} is not a list of booleans")
-            if not isinstance(sources, list) or not all(isinstance(s, list) for s in sources):
-                raise InputError(f"{path}:{lineno}: sources of {mid!r} is not a list of lists")
+            if not isinstance(sources, list) or not (
+                all(isinstance(s, list) for s in sources) and all(a in ATTRIBUTES for a in chain.from_iterable(sources))
+            ):
+                raise InputError(f"{path}:{lineno}: sources of {mid!r} is not a list of lists of {', '.join(ATTRIBUTES)}")
             if len(sources) != len(noise):
                 raise InputError(
                     f"{path}:{lineno}: {mid!r} has {len(noise)} noise flags but {len(sources)} sources"

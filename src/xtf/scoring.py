@@ -10,18 +10,20 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import TokenizedExample, fmt_float, write_atomic
 from .model import ForwardTrace, InputError, ModelParams, forward
-from .numerics import available_cores, die_with_parent, one_blas_thread, softmax_value
+from .numerics import Fork, available_cores, one_blas_thread, softmax_value
 
 RI_AGGS = ("mean", "sum", "last_layer_mean")
 DOMAIN_SOURCES = ("all_tokens", "unique_tokens")
 DISTANCE_METRICS = ("euclidean", "cosine")
 SCORE_KEYS = ("s_ri", "s_kn", "s_tr", "pcp")  # TokenScores field order
+_SCORE_MAX = (float(np.finfo(np.float64).max), 1.0, 1.0, 1.0)  # s_ri sums attention weights under "sum" pooling
 
 
 class ConsistencyError(ValueError):
@@ -196,53 +198,9 @@ def _token_slices(examples: list[TokenizedExample], parts: int) -> list[tuple[in
     return list(zip(bounds, bounds[1:] + [len(examples)]))
 
 
-_helper_state: tuple = ()  # set only in a scoring helper, by its initializer
-
-
-def _start_helper(*state) -> None:
-    """Initializer of a scoring helper. Its state (the params, the valid
-    examples, the domain vector and the RI pooling) comes with the process
-    (inherited under fork), so only slice bounds are sent to it."""
-    global _helper_state
-    _helper_state = state
-    die_with_parent()
-
-
-def _score_helper_slice(start: int, stop: int) -> tuple[list[TokenScores], list[tuple[str, str]]]:
-    """`_score_slice` of examples[start:stop], run in a helper."""
-    params, examples, domain, ri_agg = _helper_state
-    with one_blas_thread():
-        return _score_slice(params, examples[start:stop], domain, ri_agg)
-
-
-def _score_split(
-    params: ModelParams,
-    examples: list[TokenizedExample],
-    domain: DomainVector,
-    ri_agg: str,
-    slices: list[tuple[int, int]],
-) -> list[tuple[list[TokenScores], list[tuple[str, str]]]]:
-    """`_score_slice` of every slice, in order: one helper process each
-    scores all but the last, which this process scores meanwhile. The
-    helpers have exited when this returns or raises."""
-    import multiprocessing  # here, not at module level: only a split needs them
-    from concurrent.futures import ProcessPoolExecutor
-
-    # Linux's default context forks: a helper starts in milliseconds with the
-    # state in place, where a spawned one would spend ~0.3 s importing numpy
-    # and this package before unpickling the params and the examples
-    state = (params, examples, domain, ri_agg)
-    with ProcessPoolExecutor(
-        len(slices) - 1, multiprocessing.get_context(), initializer=_start_helper, initargs=state
-    ) as pool:
-        helpers = [pool.submit(_score_helper_slice, start, stop) for start, stop in slices[:-1]]
-        try:
-            own = _score_slice(params, examples[slices[-1][0] :], domain, ri_agg)
-        finally:
-            # a helper's error, on an earlier slice, wins over this process's
-            # as it would in one loop; `with` then waits for the helpers to exit
-            parts = [helper.result() for helper in helpers]
-    return parts + [own]
+def _score_part(conn, params, examples, domain, ri_agg):
+    """`_score_slice` in a scoring helper, which needs no messages but its result."""
+    return _score_slice(params, examples, domain, ri_agg)
 
 
 def score_dataset(
@@ -274,12 +232,15 @@ def score_dataset(
         else:
             errors.append((ex.id, problem))
     domain = compute_domain_vector(params, valid, domain_source, distance_metric)
-    slices = _token_slices(valid, available_cores())
-    with one_blas_thread():
-        if len(slices) == 1:
-            parts = [_score_slice(params, valid, domain, ri_agg)]
-        else:
-            parts = _score_split(params, valid, domain, ri_agg, slices)
+    *forked, (last, _) = _token_slices(valid, available_cores())
+    with one_blas_thread(), ExitStack() as stack:
+        helpers = [stack.enter_context(Fork(_score_part, params, valid[a:b], domain, ri_agg)) for a, b in forked]
+        try:
+            own = _score_slice(params, valid[last:], domain, ri_agg)
+        finally:
+            # a helper's error, on an earlier slice, wins over this process's as it would in one loop
+            parts = [helper.recv() for helper in helpers]
+    parts.append(own)
     scores = [s for part_scores, _ in parts for s in part_scores]
     errors += [e for _, part_errors in parts for e in part_errors]
     return ScoreResult(scores, domain, errors)
@@ -311,7 +272,8 @@ def save_scores(scores: list[TokenScores], path) -> None:
 
 def load_scores(path) -> list[TokenScores]:
     """Read a scores file. Each line needs a string id and four equal-length
-    lists of finite numbers, and no id may repeat; otherwise InputError."""
+    lists of finite numbers, each in [0, 1] (s_ri in [0, inf)), and no id
+    may repeat; otherwise InputError."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -320,19 +282,24 @@ def load_scores(path) -> list[TokenScores]:
                 continue
             try:
                 obj = json.loads(line)
-                sid = obj["id"]
-                arrays = [np.array(obj[key], dtype=np.float64) for key in SCORE_KEYS]
+                sid, lists = obj["id"], [obj[key] for key in SCORE_KEYS]
             except KeyError as exc:
                 raise InputError(f"{path}:{lineno}: missing key {exc}") from None
             except (ValueError, TypeError) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from None
             if not isinstance(sid, str):
                 raise InputError(f"{path}:{lineno}: id {sid!r} is not a string")
-            if any(a.ndim != 1 or a.size != arrays[0].size for a in arrays) or arrays[0].size == 0:
+            # an integer past the float range fails the bounds too; NaN is caught below
+            if not all(
+                isinstance(v, list) and len(v) == len(lists[0]) > 0 and set(map(type, v)) <= {int, float}
+                and 0 <= min(v) and max(v) <= high
+                for v, high in zip(lists, _SCORE_MAX)
+            ):
                 raise InputError(
-                    f"{path}:{lineno}: {', '.join(SCORE_KEYS)} of {sid!r} are not equal-length, non-empty lists"
+                    f"{path}:{lineno}: {', '.join(SCORE_KEYS)} of {sid!r} are not equal-length, non-empty lists "
+                    "of scores in range"
                 )
-            out.append(TokenScores(sid, *arrays))
+            out.append(TokenScores(sid, *(np.array(v, dtype=np.float64) for v in lists)))
     values = [getattr(s, key) for s in out for key in SCORE_KEYS]
     if values and not np.isfinite(np.concatenate(values)).all():
         bad = next(s.id for s in out if not all(np.isfinite(getattr(s, key)).all() for key in SCORE_KEYS))

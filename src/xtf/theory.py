@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from itertools import count, islice
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .data import subseed
 from .numerics import softmax_value
@@ -38,7 +37,7 @@ class PreconditionError(ValueError):
 
 
 class Geometry:
-    """Cached SPD factorization: inner products and solves in the M^-1 metric."""
+    """An SPD preconditioner: inner products and solves in the M^-1 metric."""
 
     def __init__(self, M: np.ndarray):
         M = np.asarray(M, dtype=np.float64)
@@ -47,13 +46,13 @@ class Geometry:
         if not np.allclose(M, M.T, atol=1e-10):
             raise GeometryError("preconditioner must be symmetric")
         try:
-            self._factor = cho_factor(M)
+            np.linalg.cholesky(M)  # the SPD check
         except np.linalg.LinAlgError as exc:
             raise GeometryError(f"preconditioner is not positive definite: {exc}") from exc
         self.M = M
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return cho_solve(self._factor, b)
+        return np.linalg.solve(self.M, b)  # an explicit inverse raised the checks' violations to ~1e-13
 
     def inner(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(x @ self.solve(y))

@@ -208,8 +208,9 @@ def _epoch_pass(
 
 
 def _usable(dataset: list[TokenizedExample], masks: dict[str, NoiseMask] | None) -> list[TokenizedExample]:
-    """The samples whose mask leaves some label token to learn from."""
-    return [ex for ex in dataset if not (masks and ex.id in masks and all(masks[ex.id].noise))]
+    """The samples whose mask leaves some label token to learn from. A mask
+    whose length is not its label's raises ContractError."""
+    return [ex for ex in dataset if not masks or ex.id not in masks or _kept_targets(ex, masks[ex.id])[0].size]
 
 
 def train(
@@ -252,11 +253,11 @@ def _train(
     config: TrainConfig,
     val_set: list[TokenizedExample],
     worker: _ShareWorker | None = None,
-    peer=None,
+    peer: nm.Fork | None = None,
 ) -> TrainResult:
     """`train`'s epoch loop, in this process alone unless a `worker` shares
-    every batch. A `peer` future that has failed by the start of an epoch
-    raises its error there."""
+    every batch. An error of a `peer` process, or its death, that has come
+    by the start of an epoch raises there."""
     usable = _usable(dataset, masks)
     if not usable:
         raise TrainingError("every training sample is fully masked")
@@ -266,8 +267,8 @@ def _train(
     rng = np.random.default_rng(config.seed)
     result = TrainResult(params=work.copy(), best_epoch=0, best_val_acc=-1.0)
     for epoch in range(1, config.epochs + 1):
-        if peer is not None and peer.done():
-            peer.result()  # raises the peer's error
+        if peer is not None:
+            peer.poll()
         try:
             train_loss = _epoch_pass(work, usable, masks, config, rng, opt_state, worker)
         except (TrainingError, FloatingPointError) as exc:  # a non-finite loss, or non-finite logits
@@ -359,39 +360,23 @@ def _prefix_share(rows: list[int]) -> int:
     return min(range(1, len(rows)), key=lambda k: max(sum(rows[:k]), total - sum(rows[:k])), default=0)
 
 
-class _ShareWorker:
-    """A worker process that computes a prefix of every batch's runs.
+class _ShareWorker(nm.Fork):
+    """A forked worker that computes a prefix of every batch's runs.
 
     It reads the parameters this process `hold`s in one shared buffer, gets
-    its runs through a pipe, writes their gradient sum into a second shared
-    buffer and sends their losses back (`gradient_sum`). The worker of
-    `run_experiment`, given the arm's inputs, then trains the unmasked arm
-    from the base left in the first buffer (`run_arm`). Its process has
-    exited when the `with` block ends, by return or raise."""
+    its runs through the pipe, writes their gradient sum into a second
+    shared buffer and sends their losses back (`gradient_sum`). The worker
+    of `run_experiment`, given the arm's inputs, then trains the unmasked
+    arm from the base left in the first buffer (`run_arm`)."""
 
     def __init__(self, config: ModelConfig, *arm_inputs):
         import multiprocessing  # here, not at module level: ~20 ms off `import xtf.training`
-        from concurrent.futures import ProcessPoolExecutor
 
-        ctx = multiprocessing.get_context()
         size = sum(math.prod(shape) for shape in param_shapes(config).values())
-        params_buffer, grads_buffer = ctx.RawArray("d", size), ctx.RawArray("d", size)
+        params_buffer, grads_buffer = multiprocessing.RawArray("d", size), multiprocessing.RawArray("d", size)
         self._params = _shared_params(params_buffer, config)
         self._grads = [t.value for t in _shared_params(grads_buffer, config).values()]
-        self._conn, self._worker_conn = ctx.Pipe()
-        state = (params_buffer, grads_buffer, self._worker_conn, config, *arm_inputs)
-        self._pool = ProcessPoolExecutor(1, ctx, initializer=_start_share_worker, initargs=state)
-        self._serving = self._pool.submit(_serve_shares)
-
-    def __enter__(self) -> _ShareWorker:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if not self._serving.done():
-            self._conn.send(None)  # ends the worker's share loop, so the pool can shut down
-        self._pool.shutdown()
-        self._conn.close()
-        self._worker_conn.close()
+        super().__init__(_serve_shares, params_buffer, grads_buffer, config, *arm_inputs)
 
     def hold(self, params: ModelParams) -> ModelParams:
         """`params` copied into the buffer the worker reads, as views of it:
@@ -412,7 +397,7 @@ class _ShareWorker:
         k = _prefix_share([sum(len(ex.tokens) for ex in run) for run, _ in runs])
         if not k:
             return _gradient_sum(params, runs)
-        self._conn.send(runs[:k])
+        self.send(runs[:k])
         own = []
         try:
             for run in runs[k:]:
@@ -437,63 +422,36 @@ class _ShareWorker:
         again cost up to milliseconds per batch: over 15 interleaved 5-epoch
         bases, blocking waits took 2.26 s median (3.45 s worst) against
         2.12 s (2.73 s) busy-waiting, and 2.93 s in one process."""
-        while not self._conn.poll(0):
-            if self._serving.done():
-                self._serving.result()  # raises the worker's error
-                raise TrainingError("the worker stopped computing its share")
-        return self._conn.recv(), self._grads
+        return self.recv(busy=True), self._grads
 
-    def run_arm(self, base_params: ModelParams):
-        """Start the unmasked arm on `base_params` and return the future of
-        `_unmasked_arm`'s result."""
-        self._conn.send(None)
-        self._serving.result()
-        self.hold(base_params)
-        return self._pool.submit(_unmasked_arm)
+    def run_arm(self, base_params: ModelParams) -> None:
+        """End the share loop and have the worker train the unmasked arm on
+        `base_params`; `recv` then gives `_serve_shares`'s result."""
+        self.hold(base_params)  # before the None: the worker reads the buffer once it has that
+        self.send(None)
 
 
-_worker_state: tuple = ()  # set only in the worker process, by its initializer
-
-
-def _start_share_worker(*state) -> None:
-    """Initializer of `_ShareWorker`'s process. Its state (the shared
-    buffers, its end of the pipe, the model config and any arm inputs) comes
-    with the process itself (inherited under fork, pickled by the starting
-    thread otherwise), so the pool's feeder thread never pickles it. On
-    Linux the kernel kills the worker when the process that started it
-    dies, so a killed run leaves no worker blocked forever."""
-    global _worker_state
-    _worker_state = state
-    nm.die_with_parent()
-
-
-def _serve_shares() -> None:
-    """The worker's part of every batch, until the parent sends None: for
-    each list of runs, `_gradient_sum` into the shared buffer, then the
-    losses back through the pipe. A diverging run raises here, as in the
-    parent (`train`'s log takes the error), and needs no numpy warning."""
-    params_buffer, grads_buffer, conn, config = _worker_state[:4]
+def _serve_shares(conn, params_buffer, grads_buffer, config: ModelConfig, *arm_inputs) -> tuple[float, float]:
+    """`_ShareWorker`'s process: for each list of runs, `_gradient_sum` into
+    the shared buffer and the losses back, until None comes. A diverging run
+    raises here, as in the parent (`train`'s log takes the error), and needs
+    no numpy warning. Then it returns `run_experiment`'s unmasked arm: the
+    test and best validation accuracy of a plain fine-tune from the buffer."""
     params = _shared_params(params_buffer, config)
     acc = [t.value for t in _shared_params(grads_buffer, config).values()]
-    with nm.one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         while True:
             while not conn.poll(0):  # busy-waits, as `_ShareWorker.collect` says why
                 pass
             if (runs := conn.recv()) is None:
-                return
+                break
             losses, grads = _gradient_sum(params, runs)
             for a, g in zip(acc, grads):
                 a[...] = g
             conn.send(losses)
-
-
-def _unmasked_arm() -> tuple[float, float]:
-    """The unmasked arm of `run_experiment`, run in its worker process:
-    test accuracy and best validation accuracy of a plain fine-tune."""
-    params_buffer, _, _, config, train_ex, val_ex, test_ex, train_config = _worker_state
-    with nm.one_blas_thread():
-        normal = _train(_shared_params(params_buffer, config), train_ex, None, train_config, val_ex)
-        return evaluate(normal.params, test_ex), normal.best_val_acc
+    train_ex, val_ex, test_ex, train_config = arm_inputs
+    normal = _train(params, train_ex, None, train_config, val_ex)
+    return evaluate(normal.params, test_ex), normal.best_val_acc
 
 
 def run_experiment(
@@ -523,8 +481,8 @@ def run_experiment(
     the masked arm, each arm in one process; BLAS is held at one thread in
     both throughout. A worker error during the base raises at once, and one
     in the unmasked arm at the masked arm's next epoch; an error in this
-    process propagates once the worker has finished. The worker has exited
-    when this returns.
+    process kills the worker and propagates at once. The worker has exited
+    when this returns or raises.
     """
     with nm.one_blas_thread():
         train_ex, val_ex, test_ex = split_records(dataset, counts=split_counts)
@@ -534,14 +492,14 @@ def run_experiment(
         with _ShareWorker(config, train_ex, val_ex, test_ex, train_config) as worker:
             if base_params is None:
                 base_params = prepare_base(model_config, train_config, base_epochs, train_config.seed, worker=worker)
-            normal = worker.run_arm(base_params)
+            worker.run_arm(base_params)
             score_result = score_dataset(
                 base_params, train_ex, ri_agg=ri_agg, domain_source=domain_source, distance_metric=distance_metric
             )
             masks, stats = apply_filters(score_result.scores, filter_config)
-            masked = _train(base_params.copy(), train_ex, {m.id: m for m in masks}, train_config, val_ex, peer=normal)
+            masked = _train(base_params.copy(), train_ex, {m.id: m for m in masks}, train_config, val_ex, peer=worker)
             xtf_acc = evaluate(masked.params, test_ex)
-            normal_acc, normal_val_acc = normal.result()
+            normal_acc, normal_val_acc = worker.recv()
 
     report = {
         "seed": train_config.seed,

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,12 @@ def randomize_params(params: ModelParams, seed: int, scale: float = 0.4) -> Mode
         else:
             t.value[...] = rng.normal(0.0, scale, t.value.shape)
     return params
+
+
+def _children() -> list[str]:
+    """Pids of this process's live children, seen by the kernel rather than
+    by `multiprocessing`, so helpers it does not track count too."""
+    return [pid for task in Path("/proc/self/task").iterdir() for pid in (task / "children").read_text().split()]
 
 
 @pytest.fixture

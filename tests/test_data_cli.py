@@ -1,5 +1,6 @@
 import inspect
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -32,7 +33,7 @@ from xtf.data import (
     subseed,
     tokenize,
 )
-from xtf.filtering import FilterConfig, NoiseMask, UnsupportedOperation, filter_quality
+from xtf.filtering import FilterConfig, NoiseMask, UnsupportedOperation, filter_quality, save_masks
 from xtf.model import ModelConfig, init, load_checkpoint
 from xtf.training import TrainConfig
 
@@ -261,6 +262,15 @@ def test_filter_quality_requires_ground_truth():
 
 def _run(args):
     return cli.main(args)
+
+
+def test_the_cli_imports_no_scipy():
+    # a fresh interpreter: this one may hold modules that other tests imported
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, xtf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_cli_unknown_flag_exits_1(capsys):
@@ -497,6 +507,32 @@ def test_cli_score_split_and_serial_write_the_same_bytes(tmp_path, monkeypatch):
     assert outputs[0].read_bytes() == outputs[1].read_bytes() == outputs[2].read_bytes()
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the worker by fork")
+@pytest.mark.parametrize("command", ["score", "train"])
+def test_cli_a_dead_worker_exits_1_with_one_line(command, tmp_path, monkeypatch, capsys):
+    # on two cores `score` forks a helper and `train` a share worker; either dies
+    data, out = tmp_path / "data.jsonl", tmp_path / "out"
+    _run(["gen-synth", "--size", "60", "--noise-rate", "0.25", "--seed", "6", "--out", str(data)])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d_model = 16\nn_layers = 1\nn_heads = 2\nd_ff = 24\nepochs = 2\n")
+    parent_pid = os.getpid()
+    module, name = (scoring, "forward") if command == "score" else (training, "packed_loss")
+    plain = getattr(module, name)
+
+    def dying(*args):
+        if os.getpid() != parent_pid:
+            os._exit(3)
+        return plain(*args)
+
+    monkeypatch.setattr(module, name, dying)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    capsys.readouterr()
+    assert _run([command, "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_cli_train_diverging_exits_1_with_one_line(tmp_path):
     # the first update at this rate overflows the next batch's logits
     data, cfg, ckpt, log = (tmp_path / name for name in ("data.jsonl", "run.cfg", "model.ckpt", "log.jsonl"))
@@ -592,6 +628,84 @@ def test_a_damaged_checkpoint_loads_finite_or_exits_1_with_one_line(tmp_path, ca
         assert err.startswith("error: ") and err.count("\n") == 1
     else:
         assert all(np.isfinite(t.value).all() for t in params.values())
+
+
+def _json_containers(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4), _json_containers, max_leaves=6
+)
+# a cut (at a byte), a byte flip, a dropped key, or a value of any JSON type
+# put in place of a key's value or (given an index) of one item of its list
+_DAMAGE = (
+    st.tuples(st.just("cut"), st.integers(0, 10**6))
+    | st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255))
+    | st.tuples(st.just("drop"), st.integers(0, 10**6), st.integers(0, 10**6))
+    | st.tuples(st.just("swap"), st.integers(0, 10**6), st.integers(0, 10**6), st.none() | st.integers(0, 10**6), _JSON_VALUES)
+)
+
+
+def _damaged(blob: bytes, damage) -> bytes:
+    kind, at = damage[0], damage[1]
+    if kind == "cut":
+        return blob[: at % len(blob)]
+    if kind == "flip":
+        flipped = bytearray(blob)
+        flipped[at % len(blob)] ^= damage[2]
+        return bytes(flipped)
+    lines = blob.decode().splitlines()
+    obj = json.loads(lines[at % len(lines)])
+    key = sorted(obj)[damage[2] % len(obj)]
+    if kind == "drop":
+        del obj[key]
+    elif damage[3] is not None and isinstance(obj[key], list) and obj[key]:
+        obj[key][damage[3] % len(obj[key])] = damage[4]
+    else:
+        obj[key] = damage[4]
+    lines[at % len(lines)] = json.dumps(obj)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _succeeds_or_exits_1_with_one_line(args, out, capsys):
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = _run(args + ["--out", str(out)])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert out.exists() and err == "", err
+    else:
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(damage=_DAMAGE)
+def test_a_damaged_scores_file_filters_or_exits_1_with_one_line(tmp_path, capsys, damage):
+    data, scores = tmp_path / "data.jsonl", tmp_path / "scores.jsonl"
+    if not data.exists():
+        _, cfg = _tiny_cli_files(tmp_path)
+        assert _run(["score", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "good.jsonl")]) == 0
+    scores.write_bytes(_damaged((tmp_path / "good.jsonl").read_bytes(), damage))
+    _succeeds_or_exits_1_with_one_line(["filter", "--scores", str(scores)], tmp_path / "masks.jsonl", capsys)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(damage=_DAMAGE)
+def test_a_damaged_masks_file_trains_or_exits_1_with_one_line(tmp_path, capsys, damage):
+    data, cfg, masks = tmp_path / "data.jsonl", tmp_path / "run.cfg", tmp_path / "masks.jsonl"
+    if not data.exists():
+        _tiny_cli_files(tmp_path)
+        save_masks(
+            [NoiseMask(r.id, list(r.noise), [("KN",) if f else () for f in r.noise]) for r in map(tokenize, load_dataset(data))],
+            tmp_path / "good.jsonl",
+        )
+        good = ["train", "--data", str(data), "--masks", str(tmp_path / "good.jsonl"), "--config", str(cfg)]
+        assert _run(good + ["--out", str(tmp_path / "model.ckpt")]) == 0
+    masks.write_bytes(_damaged((tmp_path / "good.jsonl").read_bytes(), damage))
+    args = ["train", "--data", str(data), "--masks", str(masks), "--config", str(cfg)]
+    _succeeds_or_exits_1_with_one_line(args, tmp_path / "model.ckpt", capsys)
 
 
 def test_cli_train_ignores_allfalse_vs_no_masks(tmp_path):

@@ -364,10 +364,12 @@ def test_mask_file_round_trip(tmp_path):
         lambda objs: objs[0].__setitem__("sources", "RI"),
         lambda objs: objs.append(dict(objs[0])),  # repeated id
         lambda objs: objs.append([1, 2]),  # a line that is not an object
+        lambda objs: objs[0]["sources"][0].append("ZZ"),  # `report` counts tokens per attribute
+        lambda objs: objs[0]["sources"][0].append({"RI": 1}),
     ],
     ids=[
         "missing-id", "missing-noise", "missing-sources", "non-string-id", "unequal-lengths",
-        "non-bool-flag", "sources-not-lists", "repeated-id", "not-an-object",
+        "non-bool-flag", "sources-not-lists", "repeated-id", "not-an-object", "unknown-attribute", "a-dict-source",
     ],
 )
 def test_load_masks_rejects_malformed_files(tmp_path, mangle):

@@ -1,12 +1,11 @@
 import multiprocessing
 import os
-from concurrent.futures.process import BrokenProcessPool
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import TINY, randomize_params
+from conftest import TINY, _children, randomize_params
 from xtf import scoring
 from xtf.data import TokenizedExample
 from xtf.model import InputError, init, forward
@@ -306,8 +305,17 @@ def _scores_lines(tiny_params, tmp_path):
         lambda objs: objs[0]["s_tr"].__setitem__(1, float("nan")),
         lambda objs: objs[1].__setitem__("s_ri", "high"),
         lambda objs: objs[1].__setitem__("id", 7),
+        lambda objs: objs[0]["s_tr"].__setitem__(0, 1e308),  # Otsu's histogram would overflow
+        lambda objs: objs[0]["pcp"].__setitem__(0, -0.5),
+        lambda objs: objs[0]["s_ri"].__setitem__(0, -1.0),
+        lambda objs: objs[0]["s_kn"].__setitem__(0, "0.5"),
+        lambda objs: objs[0]["s_kn"].__setitem__(0, True),
+        lambda objs: objs[1]["s_kn"].__setitem__(0, 10**400),  # beyond the float range
     ],
-    ids=["missing-key", "repeated-id", "unequal-lengths", "empty", "non-finite", "not-a-list", "non-string-id"],
+    ids=[
+        "missing-key", "repeated-id", "unequal-lengths", "empty", "non-finite", "not-a-list", "non-string-id",
+        "tr-above-1", "pcp-below-0", "ri-below-0", "a-string", "a-bool", "a-huge-int",
+    ],
 )
 def test_load_scores_rejects_malformed_files(tmp_path, tiny_params, mangle):
     import json
@@ -413,7 +421,7 @@ def test_split_scoring_is_bitwise_the_serial_loop(ri_agg, domain_source, distanc
     kwargs = dict(ri_agg=ri_agg, domain_source=domain_source, distance_metric=distance_metric)
     assert len(scoring._token_slices(dataset, 3)) == 3
     _assert_same_result(score_dataset(params, dataset, **kwargs), _serial_scores(params, dataset, **kwargs))
-    assert multiprocessing.active_children() == []
+    assert multiprocessing.active_children() == [] and _children() == []
 
 
 @fork_only
@@ -476,7 +484,7 @@ def test_split_scoring_reraises_an_error_and_leaves_no_process(side, three_cores
     params = randomize_params(init(TINY), seed=9)
     with pytest.raises(RuntimeError, match="in the parent" if side == "parent" else "in the helper"):
         score_dataset(params, _random_dataset(6))
-    assert multiprocessing.active_children() == []
+    assert multiprocessing.active_children() == [] and _children() == []
 
 
 @fork_only
@@ -490,6 +498,6 @@ def test_a_helper_that_dies_makes_scoring_raise(three_cores, monkeypatch):
         return plain_forward(params, tokens)
 
     monkeypatch.setattr(scoring, "forward", dying_forward)
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(ChildProcessError, match="code 3"):
         score_dataset(randomize_params(init(TINY), seed=10), _random_dataset(7))
-    assert multiprocessing.active_children() == []
+    assert multiprocessing.active_children() == [] and _children() == []

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TINY, randomize_params
+from conftest import TINY, _children, randomize_params
 from reference_ops import log_softmax_value
 from xtf import numerics as nm
 from xtf import training
@@ -263,6 +263,11 @@ def test_train_drops_fully_masked_samples():
     cfg = TrainConfig(learning_rate=1e-2, epochs=1, batch_size=4, optimizer="adam", seed=5)
     result = train(init(TINY), corpus, masks, cfg, val_set=corpus[:4])
     assert result.log[0]["dropped_fully_masked"] == 1
+    # a mask that flags every token of a longer or shorter label is no mask of this sample
+    for flags in ([], [True] * (len(corpus[0].output_ids) + 1)):
+        masks[corpus[0].id] = NoiseMask(corpus[0].id, flags, [()] * len(flags))
+        with pytest.raises(ContractError):
+            train(init(TINY), corpus, masks, cfg, val_set=corpus[:4])
 
 
 def test_train_selects_best_validation_epoch():
@@ -298,12 +303,6 @@ def test_train_copy_task_reaches_high_accuracy():
     result = train(init(ModelConfig()), train_ex, None, TrainConfig(seed=0), val_set=val_ex)
     assert result.best_val_acc >= 0.9
     assert result.best_epoch <= 30
-
-
-def _children() -> list[str]:
-    """Pids of this process's live children, seen by the kernel rather than
-    by `multiprocessing`, so helpers it does not track count too."""
-    return [pid for task in Path("/proc/self/task").iterdir() for pid in (task / "children").read_text().split()]
 
 
 def test_run_experiment_empty_masks_tie():
@@ -391,6 +390,25 @@ def test_run_experiment_raises_the_worker_error(monkeypatch):
     assert multiprocessing.active_children() == [] and _children() == []
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the worker by fork")
+def test_run_experiment_raises_the_parent_error_at_once(monkeypatch):
+    # the unmasked arm's 1000 epochs would take ~40 s; the masked arm's error
+    # kills the worker at once instead
+    plain_train = training._train
+
+    def failing_masked_train(params, dataset, masks, *args, **kwargs):
+        if masks is not None:
+            raise RuntimeError("masked arm failed")
+        return plain_train(params, dataset, masks, *args, **kwargs)
+
+    monkeypatch.setattr(training, "_train", failing_masked_train)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="masked arm failed"):
+        _copy_experiment(gen_synth("copy", 120, 0.0, 3), train_config=dataclasses.replace(COPY_TRAIN, epochs=1000))
+    assert time.monotonic() - start < 10.0
+    assert multiprocessing.active_children() == [] and _children() == []
+
+
 def test_run_experiment_raises_the_parent_error():
     # an empty test split makes evaluate raise in both processes
     with pytest.raises(ValueError, match="non-empty"):
@@ -409,7 +427,7 @@ from xtf.filtering import FilterConfig
 from xtf.model import ModelConfig
 
 def killed_score_dataset(*args, **kwargs):
-    time.sleep(0.5)  # time for the worker to run its initializer
+    time.sleep(0.5)  # time for the worker to set its parent-death signal
     print(*[p.pid for p in multiprocessing.active_children()], flush=True)
     os.kill(os.getpid(), signal.SIGKILL)
 
