@@ -44,6 +44,13 @@ def _bool(text: str) -> bool:
     return text.lower() == "true"
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError("expected a non-negative integer")
+    return value
+
+
 def _attributes(text: str) -> tuple[str, ...]:
     return tuple(_choice(F.ATTRIBUTES)(a.strip()) for a in text.split(",") if a.strip())
 
@@ -61,7 +68,7 @@ CONFIG_SCHEMA = {
         learning_rate=float, epochs=int, batch_size=int, optimizer=_choice(M.OPTIMIZERS), val_fraction=float,
         report_every=int,
     ),
-    "experiment": dict(base_epochs=int, split_train=int, split_val=int, split_test=int, seed=int),
+    "experiment": dict(base_epochs=int, split_train=_count, split_val=_count, split_test=_count, seed=int),
 }
 CLI_TRAIN = {"epochs": 8, "batch_size": 16}
 SPLIT_KEYS = ("split_train", "split_val", "split_test")
@@ -305,8 +312,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    # every input error class is a ValueError; a run that cannot go on raises TrainingError or ChildProcessError
-    except (FileNotFoundError, F.UnsupportedOperation, ValueError, M.TrainingError, ChildProcessError) as exc:
+    # every input error class is a ValueError, and a path that cannot be opened an OSError;
+    # a run that cannot go on raises TrainingError or ChildProcessError
+    except (OSError, F.UnsupportedOperation, ValueError, M.TrainingError, ChildProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

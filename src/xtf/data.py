@@ -245,8 +245,8 @@ def split_records(records, counts: tuple[int, int, int] | None = None, fractions
         n_train = int(fractions[0] * n)
         n_val = int(fractions[1] * n)
         counts = (n_train, n_val, n - n_train - n_val)
-    if sum(counts) != n:
-        raise IngestionError(f"split counts {counts} do not sum to dataset size {n}")
+    if min(counts) < 0 or sum(counts) != n:
+        raise IngestionError(f"split counts {counts} must be non-negative and sum to dataset size {n}")
     train = ordered[: counts[0]]
     val = ordered[counts[0] : counts[0] + counts[1]]
     test = ordered[counts[0] + counts[1] :]
@@ -317,39 +317,50 @@ _FIELD_TYPES = {
 }
 
 
-def load_dataset(path) -> list[DatasetRecord]:
-    """Read a dataset file. Each line must be a JSON object with a string
-    id that no other line has, and text fields, id fields and noise flags
-    of the right types; otherwise IngestionError."""
-    records = []
+def read_records(path, error=IngestionError):
+    """Yield ("path:line", object) for each non-blank line of a JSON-lines
+    file. Lines end at a newline; each must be UTF-8 JSON for an object whose
+    `id` is a string that no earlier line has; otherwise `error`, with a
+    message that names the line."""
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
             where = f"{path}:{lineno}"
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 obj = json.loads(line)
-            except ValueError as exc:
-                raise IngestionError(f"{where}: {exc}") from None
+            except (ValueError, RecursionError) as exc:
+                raise error(f"{where}: {exc}") from None
             if not isinstance(obj, dict):
-                raise IngestionError(f"{where}: not a JSON object")
+                raise error(f"{where}: not a JSON object")
             rid = obj.get("id")
             if not isinstance(rid, str):
-                raise IngestionError(f"{where}: id {rid!r} is missing or not a string")
+                raise error(f"{where}: id {rid!r} is missing or not a string")
             if rid in seen:
-                raise IngestionError(f"{where}: id {rid!r} appears more than once")
-            fields = {key: obj.get(key) for key in _FIELD_TYPES}
-            for key, (kind, item) in _FIELD_TYPES.items():
-                value = fields[key]
-                if value is not None and not (
-                    isinstance(value, kind) and (item is None or all(type(x) is item for x in value))
-                ):
-                    what = kind.__name__ if item is None else f"{kind.__name__} of {item.__name__}s"
-                    raise IngestionError(f"{where}: {key} of {rid!r} is not a {what}")
+                raise error(f"{where}: id {rid!r} appears more than once")
             seen.add(rid)
-            records.append(DatasetRecord(rid, **fields))
+            yield where, obj
+
+
+def load_dataset(path) -> list[DatasetRecord]:
+    """Read a dataset file through `read_records`, with text fields, id
+    fields and noise flags of the right types; otherwise IngestionError."""
+    records = []
+    for where, obj in read_records(path):
+        fields = {key: obj.get(key) for key in _FIELD_TYPES}
+        for key, (kind, item) in _FIELD_TYPES.items():
+            value = fields[key]
+            if value is not None and not (
+                isinstance(value, kind) and (item is None or all(type(x) is item for x in value))
+            ):
+                what = kind.__name__ if item is None else f"{kind.__name__} of {item.__name__}s"
+                raise IngestionError(f"{where}: {key} of {obj['id']!r} is not a {what}")
+        try:
+            records.append(DatasetRecord(obj["id"], **fields))
+        except IngestionError as exc:
+            raise IngestionError(f"{where}: {exc}") from None
     return records
 
 
@@ -371,5 +382,9 @@ def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
 
 
 def load_config(path) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: {exc}") from None
+    return parse_config_text(text, str(path))

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .data import write_atomic
+from .data import read_records, write_atomic
 from .model import InputError
 from .scoring import TokenScores
 
@@ -335,39 +335,24 @@ def save_masks(masks: Iterable[NoiseMask], path) -> None:
 
 
 def load_masks(path) -> list[NoiseMask]:
-    """Read a masks file. Each line needs a string id, a list of boolean
-    `noise` flags and a `sources` list, of the same length, of lists of
-    attribute names, and no id may repeat; otherwise InputError."""
+    """Read a masks file through `read_records`. Each line needs a list of
+    boolean `noise` flags and a `sources` list, of the same length, of lists
+    of attribute names, non-empty exactly where the flag is set (as
+    `union_mask` writes them); otherwise InputError."""
     masks = []
-    seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                mid, noise, sources = obj["id"], obj["noise"], obj["sources"]
-            except KeyError as exc:
-                raise InputError(f"{path}:{lineno}: missing key {exc}") from None
-            except (ValueError, TypeError) as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
-            if not isinstance(mid, str):
-                raise InputError(f"{path}:{lineno}: id {mid!r} is not a string")
-            if mid in seen:
-                raise InputError(f"{path}:{lineno}: id {mid!r} appears more than once")
-            if not isinstance(noise, list) or not all(type(f) is bool for f in noise):
-                raise InputError(f"{path}:{lineno}: noise of {mid!r} is not a list of booleans")
-            if not isinstance(sources, list) or not (
-                all(isinstance(s, list) for s in sources) and all(a in ATTRIBUTES for a in chain.from_iterable(sources))
-            ):
-                raise InputError(f"{path}:{lineno}: sources of {mid!r} is not a list of lists of {', '.join(ATTRIBUTES)}")
-            if len(sources) != len(noise):
-                raise InputError(
-                    f"{path}:{lineno}: {mid!r} has {len(noise)} noise flags but {len(sources)} sources"
-                )
-            seen.add(mid)
-            masks.append(NoiseMask(mid, noise, [tuple(s) for s in sources]))
+    for where, obj in read_records(path, InputError):
+        mid, noise, sources = obj["id"], obj.get("noise"), obj.get("sources")
+        if not isinstance(noise, list) or not all(type(f) is bool for f in noise):
+            raise InputError(f"{where}: noise of {mid!r} is not a list of booleans")
+        if not isinstance(sources, list) or not (
+            all(isinstance(s, list) for s in sources) and all(a in ATTRIBUTES for a in chain.from_iterable(sources))
+        ):
+            raise InputError(f"{where}: sources of {mid!r} is not a list of lists of {', '.join(ATTRIBUTES)}")
+        if len(sources) != len(noise):
+            raise InputError(f"{where}: {mid!r} has {len(noise)} noise flags but {len(sources)} sources")
+        if noise != list(map(bool, sources)):
+            raise InputError(f"{where}: a noise flag of {mid!r} disagrees with its sources")
+        masks.append(NoiseMask(mid, noise, [tuple(s) for s in sources]))
     return masks
 
 

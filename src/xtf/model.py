@@ -89,7 +89,6 @@ class ForwardTrace:
 
     logits: np.ndarray  # (seq, vocab)
     attention: np.ndarray  # (n_layers, n_heads, seq, seq)
-    input_embeddings: np.ndarray  # (seq, d_model)
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -167,15 +166,14 @@ def _causal_mask(s: int) -> np.ndarray:
 
 def _causal_attention(
     q: Tensor, k: Tensor, v: Tensor, n_heads: int, bounds: tuple[tuple[int, int], ...] | None = None
-) -> tuple[Tensor, np.ndarray]:
+) -> tuple[Tensor, list[np.ndarray]]:
     """Fused multi-head causal attention over (seq, d_model) projections.
 
     `bounds` lists the (start, end) rows of each packed sequence (default:
     one sequence); each block attends only within itself, so no row sees
     across a bound and no score is computed there. One tape record instead
-    of a dozen; returns the mixed context and the per-head attention weights
-    (heads, seq, seq) for the trace, exactly 0 outside each sequence's
-    causal block.
+    of a dozen; returns the mixed context and, per sequence, the per-head
+    attention weights (heads, len, len), exactly 0 above the diagonal.
     """
     s, d = q.shape
     dh = d // n_heads
@@ -209,18 +207,12 @@ def _causal_attention(
         return to_flat(g_q3), to_flat(g_k3), to_flat(g_v3)
 
     nm.record_op(out, (q, k, v), bwd)
-    if len(blocks) == 1:
-        return out, blocks[0]
-    weights = np.zeros((n_heads, s, s))
-    for (a, b), w in zip(bounds, blocks):
-        weights[:, a:b, a:b] = w
-    return out, weights
+    return out, blocks
 
 
-def forward_tensors(params: ModelParams, tokens, lengths=None) -> tuple[Tensor, list[np.ndarray], np.ndarray]:
+def forward_tensors(params: ModelParams, tokens, lengths=None) -> tuple[Tensor, list[list[np.ndarray]]]:
     """Causal forward pass. Returns the logits tensor (differentiable when a
-    tape is active), per-layer attention weight arrays, and the input
-    embeddings that fed the first block.
+    tape is active) and, per layer, each sequence's attention weights.
 
     With `lengths`, `tokens` is several sequences concatenated without
     padding; each starts at position 0 and attends only within itself, so
@@ -230,8 +222,7 @@ def forward_tensors(params: ModelParams, tokens, lengths=None) -> tuple[Tensor, 
     pos_ids = None if lengths is None else np.concatenate([np.arange(b - a) for a, b in bounds])
 
     x = nm.embed_positions(params["tok_emb"], params["pos_emb"], ids, pos_ids)
-    input_emb = x.value
-    attn_maps: list[np.ndarray] = []
+    attn_maps: list[list[np.ndarray]] = []
 
     for i in range(cfg.n_layers):
         p = f"layer{i}"
@@ -252,17 +243,13 @@ def forward_tensors(params: ModelParams, tokens, lengths=None) -> tuple[Tensor, 
     x = nm.layer_norm(x, params["final.gain"], params["final.bias"])
     out_table = params["tok_emb"] if cfg.tie_output else params["out_proj"]
     logits = nm.matmul(x, nm.transpose(out_table, (1, 0)))
-    return logits, attn_maps, input_emb
+    return logits, attn_maps
 
 
 def forward(params: ModelParams, tokens) -> ForwardTrace:
     """Untaped forward pass packaged as a trace of plain arrays."""
-    logits, attn_maps, input_emb = forward_tensors(params, tokens)
-    return ForwardTrace(
-        logits=logits.value,
-        attention=np.stack(attn_maps),
-        input_embeddings=input_emb,
-    )
+    logits, attn_maps = forward_tensors(params, tokens)
+    return ForwardTrace(logits=logits.value, attention=np.stack([blocks[0] for blocks in attn_maps]))
 
 
 # ---------------------------------------------------------------------------

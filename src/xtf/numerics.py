@@ -57,10 +57,6 @@ class Tensor:
         return self.value.shape
 
     @property
-    def data(self) -> np.ndarray:
-        return self.value.reshape(-1)
-
-    @property
     def ndim(self) -> int:
         return self.value.ndim
 

@@ -9,13 +9,12 @@ context-free embedding sits to the dataset centroid (task relevance).
 from __future__ import annotations
 
 import json
-from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TokenizedExample, fmt_float, write_atomic
+from .data import TokenizedExample, fmt_float, read_records, write_atomic
 from .model import ForwardTrace, InputError, ModelParams, forward
 from .numerics import Fork, available_cores, one_blas_thread, softmax_value
 
@@ -271,41 +270,24 @@ def save_scores(scores: list[TokenScores], path) -> None:
 
 
 def load_scores(path) -> list[TokenScores]:
-    """Read a scores file. Each line needs a string id and four equal-length
-    lists of finite numbers, each in [0, 1] (s_ri in [0, inf)), and no id
-    may repeat; otherwise InputError."""
+    """Read a scores file through `read_records`. Each line needs four
+    equal-length lists of finite numbers, each in [0, 1] (s_ri in [0, inf));
+    otherwise InputError."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                sid, lists = obj["id"], [obj[key] for key in SCORE_KEYS]
-            except KeyError as exc:
-                raise InputError(f"{path}:{lineno}: missing key {exc}") from None
-            except (ValueError, TypeError) as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
-            if not isinstance(sid, str):
-                raise InputError(f"{path}:{lineno}: id {sid!r} is not a string")
-            # an integer past the float range fails the bounds too; NaN is caught below
-            if not all(
-                isinstance(v, list) and len(v) == len(lists[0]) > 0 and set(map(type, v)) <= {int, float}
-                and 0 <= min(v) and max(v) <= high
-                for v, high in zip(lists, _SCORE_MAX)
-            ):
-                raise InputError(
-                    f"{path}:{lineno}: {', '.join(SCORE_KEYS)} of {sid!r} are not equal-length, non-empty lists "
-                    "of scores in range"
-                )
-            out.append(TokenScores(sid, *(np.array(v, dtype=np.float64) for v in lists)))
-    values = [getattr(s, key) for s in out for key in SCORE_KEYS]
-    if values and not np.isfinite(np.concatenate(values)).all():
-        bad = next(s.id for s in out if not all(np.isfinite(getattr(s, key)).all() for key in SCORE_KEYS))
-        raise InputError(f"{path}: non-finite score for {bad!r}")
-    counts = Counter(s.id for s in out)
-    if len(counts) != len(out):
-        dup = next(i for i, n in counts.items() if n > 1)
-        raise InputError(f"{path}: id {dup!r} appears more than once")
+    for where, obj in read_records(path, InputError):
+        lists = [obj.get(key) for key in SCORE_KEYS]
+        # an integer past the float range fails the bounds; NaN passes them unless it comes first
+        if not all(
+            isinstance(v, list) and len(v) == len(lists[0]) > 0 and set(map(type, v)) <= {int, float}
+            and 0 <= min(v) and max(v) <= high
+            for v, high in zip(lists, _SCORE_MAX)
+        ):
+            raise InputError(
+                f"{where}: {', '.join(SCORE_KEYS)} of {obj['id']!r} are not equal-length, non-empty lists "
+                "of scores in range"
+            )
+        rows = np.array(lists, dtype=np.float64)
+        if not np.isfinite(rows).all():
+            raise InputError(f"{where}: non-finite score for {obj['id']!r}")
+        out.append(TokenScores(obj["id"], *rows))
     return out

@@ -85,7 +85,7 @@ def packed_loss(
     if rows_all.size == 0:
         return 0.0, [np.zeros_like(t.value) for t in params.values()]
     with GradientTape() as tape:
-        logits, _, _ = forward_tensors(params, tokens, lengths)
+        logits, _ = forward_tensors(params, tokens, lengths)
         loss = nm.sequence_nll(logits, rows_all, np.concatenate(cols))
     return float(loss.value), tape.gradients(loss, params.values())
 

@@ -261,7 +261,7 @@ def test_criterion_08_masked_loss_gradients():
         cols = np.array([ex.output_ids[k] for k in range(n_out) if keep[k]])
 
         def loss_fn():
-            logits, _, _ = forward_tensors(params, ex.tokens)
+            logits, _ = forward_tensors(params, ex.tokens)
             return nm.sequence_nll(logits, rows, cols)
 
         worst = max(worst, finite_diff_check(loss_fn, params.values(), 1e-5))

@@ -177,6 +177,8 @@ def test_split_rejects_bad_counts():
     records = gen_synth("addition", 10, 0.0, 2)
     with pytest.raises(IngestionError):
         split_records(records, counts=(5, 4, 3))
+    with pytest.raises(IngestionError):
+        split_records(gen_synth("addition", 20, 0.0, 2), counts=(-5, 10, 15))  # train and test would share 10
 
 
 def test_subseed_stable_and_distinct():
@@ -278,10 +280,11 @@ def test_cli_unknown_flag_exits_1(capsys):
 
 
 def test_cli_missing_scores_file_exits_1(tmp_path, capsys):
-    missing = tmp_path / "nope.jsonl"
-    code = _run(["filter", "--scores", str(missing), "--out", str(tmp_path / "m.jsonl")])
-    assert code == 1
-    assert str(missing) in capsys.readouterr().err
+    for missing in (tmp_path / "nope.jsonl", tmp_path):  # no file, or a directory
+        code = _run(["filter", "--scores", str(missing), "--out", str(tmp_path / "m.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(missing) in err and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_rejects_bad_artifacts_with_one_line(tmp_path, capsys):
@@ -332,7 +335,7 @@ def test_cli_rejects_bad_artifacts_with_one_line(tmp_path, capsys):
     assert not ckpt.exists()
     all_flagged = [json.loads(line) for line in mask_lines]
     for obj in all_flagged:
-        obj["noise"] = [True] * len(obj["noise"])
+        obj["noise"], obj["sources"] = [True] * len(obj["noise"]), [["KN"]] * len(obj["noise"])
     masks.write_text("".join(json.dumps(obj) + "\n" for obj in all_flagged))
     capsys.readouterr()
     assert _run(["train", "--data", str(data), "--masks", str(masks), "--config", str(cfg), "--out", str(ckpt)]) == 1
@@ -370,6 +373,7 @@ def test_cli_rejects_bad_config_with_one_line(tmp_path, capsys):
         ("optimizer = sgdx\n", "train", f"{cfg}: optimizer = 'sgdx'"),
         ("learning_rate = nan\n", "train", f"{cfg}: learning_rate must be"),
         ("val_fraction = 1.5\n", "train", f"{cfg}: val_fraction must be"),
+        ("split_train = -5\nsplit_val = 10\nsplit_test = 15\n", "run-experiment", f"{cfg}: split_train = '-5'"),
         ("d_model = 16\nd_model = 32\n", "score", f"{cfg}:2: repeated key 'd_model'"),
         ("d_model = 16\nnot a pair\n", "score", f"{cfg}:2: expected 'key = value'"),
     ):
@@ -678,6 +682,7 @@ def _succeeds_or_exits_1_with_one_line(args, out, capsys):
     else:
         assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
         assert not out.exists()
+    return err
 
 
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -706,6 +711,76 @@ def test_a_damaged_masks_file_trains_or_exits_1_with_one_line(tmp_path, capsys, 
     masks.write_bytes(_damaged((tmp_path / "good.jsonl").read_bytes(), damage))
     args = ["train", "--data", str(data), "--masks", str(masks), "--config", str(cfg)]
     _succeeds_or_exits_1_with_one_line(args, tmp_path / "model.ckpt", capsys)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(damage=_DAMAGE)
+def test_a_damaged_dataset_scores_or_exits_1_with_one_line(tmp_path, capsys, damage):
+    data, cfg = tmp_path / "data.jsonl", tmp_path / "run.cfg"
+    if not data.exists():
+        _tiny_cli_files(tmp_path)
+        data.rename(tmp_path / "good.jsonl")
+    data.write_bytes(_damaged((tmp_path / "good.jsonl").read_bytes(), damage))
+    args = ["score", "--data", str(data), "--config", str(cfg)]
+    _succeeds_or_exits_1_with_one_line(args, tmp_path / "scores.jsonl", capsys)
+
+
+# every config key, each set to a value the CLI accepts
+_FULL_CONFIG = """# a run
+vocab_size = 99
+d_model = 8
+n_layers = 1
+n_heads = 2
+d_ff = 8
+max_seq = 64
+tie_output = true
+kn_cutoff = 0.05
+otsu_classes = 3
+otsu_bins = 32
+enabled_attributes = RI,KN,TR
+ri_agg = mean
+domain_source = all_tokens
+distance_metric = euclidean
+learning_rate = 0.003
+epochs = 1
+batch_size = 4
+optimizer = adam
+val_fraction = 0.1
+report_every = 1
+base_epochs = 1
+split_train = 4
+split_val = 1
+split_test = 1
+seed = 3
+"""
+# a cut or byte flip as above, a dropped line, or one line's value replaced by any text
+_CONFIG_DAMAGE = (
+    st.tuples(st.just("cut"), st.integers(0, 10**6))
+    | st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255))
+    | st.tuples(st.just("drop"), st.integers(0, 10**6))
+    | st.tuples(st.just("value"), st.integers(0, 10**6), st.text(max_size=12))
+)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(damage=_CONFIG_DAMAGE)
+def test_a_damaged_config_generates_or_exits_1_with_one_line(tmp_path, capsys, damage):
+    blob = _FULL_CONFIG.encode()
+    if damage[0] in ("cut", "flip"):
+        blob = _damaged(blob, damage)
+    else:
+        lines = _FULL_CONFIG.splitlines()
+        at = damage[1] % len(lines)
+        if damage[0] == "drop":
+            del lines[at]
+        else:
+            lines[at] = lines[at].split("=")[0] + "= " + damage[2]
+        blob = ("\n".join(lines) + "\n").encode()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(blob)
+    args = ["gen-synth", "--size", "6", "--config", str(cfg)]
+    err = _succeeds_or_exits_1_with_one_line(args, tmp_path / "data.jsonl", capsys)
+    assert not err or str(cfg) in err, err
 
 
 def test_cli_train_ignores_allfalse_vs_no_masks(tmp_path):

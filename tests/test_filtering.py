@@ -366,10 +366,12 @@ def test_mask_file_round_trip(tmp_path):
         lambda objs: objs.append([1, 2]),  # a line that is not an object
         lambda objs: objs[0]["sources"][0].append("ZZ"),  # `report` counts tokens per attribute
         lambda objs: objs[0]["sources"][0].append({"RI": 1}),
+        lambda objs: objs[1]["sources"].__setitem__(0, ["KN"]),  # a source on an unflagged token
     ],
     ids=[
         "missing-id", "missing-noise", "missing-sources", "non-string-id", "unequal-lengths",
         "non-bool-flag", "sources-not-lists", "repeated-id", "not-an-object", "unknown-attribute", "a-dict-source",
+        "flag-disagrees-with-sources",
     ],
 )
 def test_load_masks_rejects_malformed_files(tmp_path, mangle):

@@ -168,7 +168,7 @@ def test_loss_gradients_match_finite_differences(tiny_generic_params):
     cols = np.array([4, 5, 6])
 
     def loss_fn():
-        logits, _, _ = forward_tensors(tiny_generic_params, ex.tokens)
+        logits, _ = forward_tensors(tiny_generic_params, ex.tokens)
         return scale(total(pick(log_softmax(logits, axis=-1), rows, cols)), -1.0)
 
     assert finite_diff_check(loss_fn, tiny_generic_params.values(), 1e-5) <= 1e-4
@@ -246,4 +246,3 @@ def test_scoring_probes_share_one_forward(tiny_params):
     trace = forward(tiny_params, [1, 2, 3, 4])
     assert trace.logits.shape == (4, TINY.vocab_size)
     assert trace.attention.shape == (TINY.n_layers, TINY.n_heads, 4, 4)
-    assert trace.input_embeddings.shape == (4, TINY.d_model)

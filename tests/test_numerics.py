@@ -12,8 +12,8 @@ from xtf.numerics import ContractError, GradientTape, ShapeError, Tensor
 def test_tensor_shape_data_invariant():
     t = Tensor(np.arange(12.0).reshape(3, 4))
     assert t.shape == (3, 4)
-    assert len(t.data) == 12
-    assert t.data.dtype == np.float64
+    assert t.value.size == 12
+    assert t.value.dtype == np.float64
 
 
 def test_matmul_identity():

@@ -184,7 +184,7 @@ def test_packed_loss_equals_sum_of_single_sequence_losses(with_masks):
             assert _close(g, sum(gs[name] for _, gs in singles)), name
 
         tokens = [t for ex in run for t in ex.tokens]
-        logits, _, _ = forward_tensors(params, tokens, [len(ex.tokens) for ex in run])
+        logits, _ = forward_tensors(params, tokens, [len(ex.tokens) for ex in run])
         start = 0
         for ex in run:
             single = forward(params, ex.tokens).logits
