@@ -68,7 +68,7 @@ CONFIG_SCHEMA = {
         learning_rate=float, epochs=int, batch_size=int, optimizer=_choice(M.OPTIMIZERS), val_fraction=float,
         report_every=int,
     ),
-    "experiment": dict(base_epochs=int, split_train=_count, split_val=_count, split_test=_count, seed=int),
+    "experiment": dict(base_epochs=_count, split_train=_count, split_val=_count, split_test=_count, seed=int),
 }
 CLI_TRAIN = {"epochs": 8, "batch_size": 16}
 SPLIT_KEYS = ("split_train", "split_val", "split_test")
@@ -121,10 +121,6 @@ def load_run_config(args) -> RunConfig:
         raise D.IngestionError(f"{path}: {exc}") from None
 
 
-def _load_examples(path) -> list[D.TokenizedExample]:
-    return [D.tokenize(r) for r in D.load_dataset(path)]
-
-
 def _load_params(args, run: RunConfig) -> M.ModelParams:
     if args.checkpoint:
         return M.load_checkpoint(args.checkpoint)
@@ -151,7 +147,7 @@ def cmd_gen_synth(args) -> int:
 
 def cmd_score(args) -> int:
     run = load_run_config(args)
-    examples = _load_examples(args.data)
+    examples = D.load_dataset(args.data)
     params = _load_params(args, run)
     result = S.score_dataset(params, examples, **run.scoring)
     for ex_id, msg in result.errors:
@@ -175,7 +171,7 @@ def cmd_filter(args) -> int:
 
 def cmd_train(args) -> int:
     run = load_run_config(args)
-    examples = _load_examples(args.data)
+    examples = D.load_dataset(args.data)
     params = _load_params(args, run)
     masks = None
     if args.masks:
@@ -199,7 +195,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    examples = [D.strip_noise(ex) for ex in _load_examples(args.data)]
+    examples = [D.strip_noise(ex) for ex in D.load_dataset(args.data)]
     params = M.load_checkpoint(args.checkpoint)
     acc = TR.evaluate(params, examples)
     payload = {"accuracy": acc, "n": len(examples)}
@@ -230,7 +226,7 @@ def cmd_report(args) -> int:
         ),
     )
     if args.data:
-        examples = _load_examples(args.data)
+        examples = D.load_dataset(args.data)
         try:
             quality = F.filter_quality(masks, examples)
         except F.UnsupportedOperation as exc:
@@ -257,7 +253,7 @@ def cmd_verify_theory(args) -> int:
 
 def cmd_run_experiment(args) -> int:
     run = load_run_config(args)
-    examples = _load_examples(args.data)
+    examples = D.load_dataset(args.data)
     report = TR.run_experiment(
         examples, run.filter, run.train, model_config=run.model, **run.scoring, **run.experiment
     )

@@ -344,10 +344,11 @@ def read_records(path, error=IngestionError):
             yield where, obj
 
 
-def load_dataset(path) -> list[DatasetRecord]:
-    """Read a dataset file through `read_records`, with text fields, id
-    fields and noise flags of the right types; otherwise IngestionError."""
-    records = []
+def load_dataset(path) -> list[TokenizedExample]:
+    """Read a dataset file through `read_records` and tokenize each record.
+    Text fields, id fields and noise flags must have the right types, and
+    each record must tokenize; otherwise IngestionError naming the line."""
+    examples = []
     for where, obj in read_records(path):
         fields = {key: obj.get(key) for key in _FIELD_TYPES}
         for key, (kind, item) in _FIELD_TYPES.items():
@@ -358,10 +359,10 @@ def load_dataset(path) -> list[DatasetRecord]:
                 what = kind.__name__ if item is None else f"{kind.__name__} of {item.__name__}s"
                 raise IngestionError(f"{where}: {key} of {obj['id']!r} is not a {what}")
         try:
-            records.append(DatasetRecord(obj["id"], **fields))
+            examples.append(tokenize(DatasetRecord(obj["id"], **fields)))
         except IngestionError as exc:
             raise IngestionError(f"{where}: {exc}") from None
-    return records
+    return examples
 
 
 def parse_config_text(text: str, source: str = "config") -> dict[str, str]:

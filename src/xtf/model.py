@@ -1,6 +1,6 @@
 """A minimal decoder-only transformer whose forward pass returns a trace of
-logits, per-layer/head attention maps and input embeddings, which the
-scorers read along with the raw embedding table. Also hosts the optimizer
+logits and per-layer/head attention maps, which the scorers read along with
+the raw embedding table. Also hosts the optimizer
 and checkpoint IO.
 
 Architecture: pre-norm residual blocks, learned positions, output head tied

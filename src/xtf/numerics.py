@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import math
 import os
 import sys
@@ -341,6 +342,19 @@ def softmax_value(x: np.ndarray, axis: int = -1) -> np.ndarray:
     the arithmetic on the small vectors of the theory lab."""
     e = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
     return e / np.add.reduce(e, axis=axis, keepdims=True)
+
+
+def balanced_cuts(sizes: Sequence[int], parts: int) -> list[int]:
+    """Where to cut items of `sizes`, kept in order, into at most `parts`
+    contiguous non-empty pieces of about equal total size: at the item
+    boundary nearest each j/`parts` of the total (the earlier one on a tie),
+    with repeated cuts dropped. For two parts that is the cut that makes the
+    larger piece smallest."""
+    prefix = list(itertools.accumulate(sizes))
+    inner = range(1, len(prefix))
+    if not inner:
+        return []
+    return sorted({min(inner, key=lambda i: abs(parts * prefix[i - 1] - j * prefix[-1])) for j in range(1, parts)})
 
 
 # ---------------------------------------------------------------------------

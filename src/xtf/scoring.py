@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import TokenizedExample, fmt_float, read_records, write_atomic
 from .model import ForwardTrace, InputError, ModelParams, forward
-from .numerics import Fork, available_cores, one_blas_thread, softmax_value
+from .numerics import Fork, available_cores, balanced_cuts, one_blas_thread, softmax_value
 
 RI_AGGS = ("mean", "sum", "last_layer_mean")
 DOMAIN_SOURCES = ("all_tokens", "unique_tokens")
@@ -184,19 +184,6 @@ def _score_slice(
     return scores, errors
 
 
-def _token_slices(examples: list[TokenizedExample], parts: int) -> list[tuple[int, int]]:
-    """Bounds of at most `parts` contiguous, non-empty slices of `examples`,
-    cut after the example at which the running token count first reaches
-    each multiple of 1/`parts` of the total."""
-    total = sum(len(ex.tokens) for ex in examples)
-    bounds, seen = [0], 0
-    for i, ex in enumerate(examples[:-1]):
-        seen += len(ex.tokens)
-        if seen * parts >= total * len(bounds):
-            bounds.append(i + 1)
-    return list(zip(bounds, bounds[1:] + [len(examples)]))
-
-
 def _score_part(conn, params, examples, domain, ri_agg):
     """`_score_slice` in a scoring helper, which needs no messages but its result."""
     return _score_slice(params, examples, domain, ri_agg)
@@ -231,11 +218,12 @@ def score_dataset(
         else:
             errors.append((ex.id, problem))
     domain = compute_domain_vector(params, valid, domain_source, distance_metric)
-    *forked, (last, _) = _token_slices(valid, available_cores())
+    bounds = [0, *balanced_cuts([len(ex.tokens) for ex in valid], available_cores()), len(valid)]
+    *forked, last = [valid[a:b] for a, b in zip(bounds, bounds[1:])]
     with one_blas_thread(), ExitStack() as stack:
-        helpers = [stack.enter_context(Fork(_score_part, params, valid[a:b], domain, ri_agg)) for a, b in forked]
+        helpers = [stack.enter_context(Fork(_score_part, params, part, domain, ri_agg)) for part in forked]
         try:
-            own = _score_slice(params, valid[last:], domain, ri_agg)
+            own = _score_slice(params, last, domain, ri_agg)
         finally:
             # a helper's error, on an earlier slice, wins over this process's as it would in one loop
             parts = [helper.recv() for helper in helpers]

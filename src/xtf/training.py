@@ -9,6 +9,7 @@ validation exact match.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,20 +229,31 @@ def train(
     non-finite logits end the run with the best checkpoint so far and a
     last log entry holding the epoch and the error.
 
-    When this process may run on more than one core and some batch can
-    span more than one `max_seq` run, a forked share worker computes a
-    prefix of every batch's runs, with BLAS at one thread in both
-    processes. The result is bitwise the single-process one, and the worker
-    has exited when this returns or raises.
+    A share worker (`_sharing`) computes a prefix of every batch's runs when
+    a second core can help. The result is bitwise the single-process one,
+    and the worker has exited when this returns or raises.
     """
     if val_set is None:
         n_val = max(1, int(len(dataset) * config.val_fraction))
         val_set, dataset, _ = split_records(dataset, counts=(n_val, len(dataset) - n_val, 0))
+    with _sharing(params, dataset, masks, config) as worker:
+        return _train(params, dataset, masks, config, val_set, worker)
+
+
+@contextmanager
+def _sharing(
+    params: ModelParams, dataset: list[TokenizedExample], masks: dict[str, NoiseMask] | None, config: TrainConfig
+):
+    """A `_ShareWorker` for training `params` on `dataset`, with BLAS at one
+    thread in both processes, when this process may run on more than one
+    core and some batch can span more than one `max_seq` run; otherwise
+    None, and no process starts. The worker has exited when the block ends."""
     longest = sorted(len(ex.tokens) for ex in _usable(dataset, masks))[-config.batch_size :]
     if nm.available_cores() < 2 or sum(longest) <= params.config.max_seq:
-        return _train(params, dataset, masks, config, val_set)
+        yield None
+        return
     with nm.one_blas_thread(), _ShareWorker(params.config) as worker:
-        return _train(params, dataset, masks, config, val_set, worker)
+        yield worker
 
 
 # a non-finite value ends the run (see `train`), so numpy need not also warn of it
@@ -296,18 +308,19 @@ def warmup_base(
     dataset: list[TokenizedExample],
     config: TrainConfig,
     epochs: int,
-    worker: _ShareWorker | None = None,
 ) -> ModelParams:
     """Unmasked pretraining pass used to prepare a base checkpoint: the
     scorers need a model with some competence before its attention,
-    confidence and embedding geometry carry any signal. A `worker` computes
-    a share of every batch; the result is bitwise the same without one."""
-    work = params.copy() if worker is None else worker.hold(params)
-    opt_state = OptState()
-    rng = np.random.default_rng(subseed(config.seed, "warmup"))
-    for _ in range(epochs):
-        _epoch_pass(work, dataset, None, config, rng, opt_state, worker)
-    return work
+    confidence and embedding geometry carry any signal. A share worker
+    computes a share of every batch as in `train`; the result is bitwise
+    the same without one."""
+    with _sharing(params, dataset, None, config) as worker:
+        work = params.copy() if worker is None else worker.hold(params)
+        opt_state = OptState()
+        rng = np.random.default_rng(subseed(config.seed, "warmup"))
+        for _ in range(epochs):
+            _epoch_pass(work, dataset, None, config, rng, opt_state, worker)
+        return work if worker is None else work.copy()
 
 
 def prepare_base(
@@ -319,7 +332,6 @@ def prepare_base(
     task_size: int = 300,
     background_size: int = 120,
     decoration_rate: float = 0.97,
-    worker: _ShareWorker | None = None,
 ) -> ModelParams:
     """Build a base checkpoint from scratch on pretraining data disjoint
     from any fine-tuning corpus: heavily decorated task-format documents
@@ -329,15 +341,14 @@ def prepare_base(
     style, so decorations later score as high-confidence (zero knowledge
     novelty) while genuine task tokens stay novel; the symbol documents
     give off-task symbols a trained embedding identity. The base never
-    sees the noisy labels it will later score. `worker` is as in
-    `warmup_base`."""
+    sees the noisy labels it will later score."""
     params = init(model_config)
     if base_epochs <= 0:
         return params
     corpus = gen_synth(task, task_size, decoration_rate, subseed(seed, "base-task"))
     corpus += gen_synth("symbol_noise", background_size, 0.0, subseed(seed, "base-background"))
     examples = [tokenize(r) for r in corpus]
-    return warmup_base(params, examples, train_config, base_epochs, worker)
+    return warmup_base(params, examples, train_config, base_epochs)
 
 
 def _shared_params(buffer, config: ModelConfig) -> ModelParams:
@@ -352,31 +363,21 @@ def _shared_params(buffer, config: ModelConfig) -> ModelParams:
     return ModelParams(config, tensors)
 
 
-def _prefix_share(rows: list[int]) -> int:
-    """How many leading runs, of `rows` rows each, the worker computes: the
-    split that best balances rows between it and the parent, and none of a
-    single run."""
-    total = sum(rows)
-    return min(range(1, len(rows)), key=lambda k: max(sum(rows[:k]), total - sum(rows[:k])), default=0)
-
-
 class _ShareWorker(nm.Fork):
     """A forked worker that computes a prefix of every batch's runs.
 
     It reads the parameters this process `hold`s in one shared buffer, gets
     its runs through the pipe, writes their gradient sum into a second
-    shared buffer and sends their losses back (`gradient_sum`). The worker
-    of `run_experiment`, given the arm's inputs, then trains the unmasked
-    arm from the base left in the first buffer (`run_arm`)."""
+    shared buffer and sends their losses back (`gradient_sum`)."""
 
-    def __init__(self, config: ModelConfig, *arm_inputs):
+    def __init__(self, config: ModelConfig):
         import multiprocessing  # here, not at module level: ~20 ms off `import xtf.training`
 
         size = sum(math.prod(shape) for shape in param_shapes(config).values())
         params_buffer, grads_buffer = multiprocessing.RawArray("d", size), multiprocessing.RawArray("d", size)
         self._params = _shared_params(params_buffer, config)
         self._grads = [t.value for t in _shared_params(grads_buffer, config).values()]
-        super().__init__(_serve_shares, params_buffer, grads_buffer, config, *arm_inputs)
+        super().__init__(_serve_shares, params_buffer, grads_buffer, config)
 
     def hold(self, params: ModelParams) -> ModelParams:
         """`params` copied into the buffer the worker reads, as views of it:
@@ -394,9 +395,10 @@ class _ShareWorker(nm.Fork):
         the worker's sum arrives: on the benchmark's `long_context_train`
         (3-7 such runs a batch, 2-vCPU VM) that raised peak memory by ~3%,
         and copying them into buffers reused every batch measured no lower."""
-        k = _prefix_share([sum(len(ex.tokens) for ex in run) for run, _ in runs])
-        if not k:
+        cuts = nm.balanced_cuts([sum(len(ex.tokens) for ex in run) for run, _ in runs], 2)
+        if not cuts:
             return _gradient_sum(params, runs)
+        (k,) = cuts
         self.send(runs[:k])
         own = []
         try:
@@ -424,33 +426,28 @@ class _ShareWorker(nm.Fork):
         2.12 s (2.73 s) busy-waiting, and 2.93 s in one process."""
         return self.recv(busy=True), self._grads
 
-    def run_arm(self, base_params: ModelParams) -> None:
-        """End the share loop and have the worker train the unmasked arm on
-        `base_params`; `recv` then gives `_serve_shares`'s result."""
-        self.hold(base_params)  # before the None: the worker reads the buffer once it has that
-        self.send(None)
 
-
-def _serve_shares(conn, params_buffer, grads_buffer, config: ModelConfig, *arm_inputs) -> tuple[float, float]:
+def _serve_shares(conn, params_buffer, grads_buffer, config: ModelConfig) -> None:
     """`_ShareWorker`'s process: for each list of runs, `_gradient_sum` into
-    the shared buffer and the losses back, until None comes. A diverging run
-    raises here, as in the parent (`train`'s log takes the error), and needs
-    no numpy warning. Then it returns `run_experiment`'s unmasked arm: the
-    test and best validation accuracy of a plain fine-tune from the buffer."""
+    the shared buffer and the losses back, until the parent kills it. A
+    diverging run raises here, as in the parent (`train`'s log takes the
+    error), and needs no numpy warning."""
     params = _shared_params(params_buffer, config)
     acc = [t.value for t in _shared_params(grads_buffer, config).values()]
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             while not conn.poll(0):  # busy-waits, as `_ShareWorker.collect` says why
                 pass
-            if (runs := conn.recv()) is None:
-                break
-            losses, grads = _gradient_sum(params, runs)
+            losses, grads = _gradient_sum(params, conn.recv())
             for a, g in zip(acc, grads):
                 a[...] = g
             conn.send(losses)
-    train_ex, val_ex, test_ex, train_config = arm_inputs
-    normal = _train(params, train_ex, None, train_config, val_ex)
+
+
+def _unmasked_arm(conn, params, train_ex, val_ex, test_ex, config: TrainConfig) -> tuple[float, float]:
+    """`run_experiment`'s unmasked arm, in a process of its own: the test and
+    best validation accuracy of a plain fine-tune of `params`."""
+    normal = _train(params, train_ex, None, config, val_ex)
     return evaluate(normal.params, test_ex), normal.best_val_acc
 
 
@@ -475,31 +472,27 @@ def run_experiment(
     are compared against their de-noised form when ground-truth flags are
     present (synthetic corpora), since the clean label is the actual target.
 
-    One worker process starts first. It computes a share of every batch of
-    `prepare_base` (the base is bitwise the single-process one), then
-    trains the unmasked arm while this process scores, filters and trains
-    the masked arm, each arm in one process; BLAS is held at one thread in
-    both throughout. A worker error during the base raises at once, and one
-    in the unmasked arm at the masked arm's next epoch; an error in this
-    process kills the worker and propagates at once. The worker has exited
-    when this returns or raises.
+    `prepare_base` shares its batches with a worker as `train` does. Then a
+    forked process trains the unmasked arm while this one scores, filters
+    and trains the masked arm, each arm in one process, with BLAS at one
+    thread in both. An unmasked-arm error raises at the masked arm's next
+    epoch; an error in this process kills the arm's process and propagates
+    at once. No process is left when this returns or raises.
     """
     with nm.one_blas_thread():
         train_ex, val_ex, test_ex = split_records(dataset, counts=split_counts)
         val_ex = [strip_noise(ex) for ex in val_ex]
         test_ex = [strip_noise(ex) for ex in test_ex]
-        config = model_config if base_params is None else base_params.config
-        with _ShareWorker(config, train_ex, val_ex, test_ex, train_config) as worker:
-            if base_params is None:
-                base_params = prepare_base(model_config, train_config, base_epochs, train_config.seed, worker=worker)
-            worker.run_arm(base_params)
+        if base_params is None:
+            base_params = prepare_base(model_config, train_config, base_epochs, train_config.seed)
+        with nm.Fork(_unmasked_arm, base_params, train_ex, val_ex, test_ex, train_config) as arm:
             score_result = score_dataset(
                 base_params, train_ex, ri_agg=ri_agg, domain_source=domain_source, distance_metric=distance_metric
             )
             masks, stats = apply_filters(score_result.scores, filter_config)
-            masked = _train(base_params.copy(), train_ex, {m.id: m for m in masks}, train_config, val_ex, peer=worker)
+            masked = _train(base_params.copy(), train_ex, {m.id: m for m in masks}, train_config, val_ex, peer=arm)
             xtf_acc = evaluate(masked.params, test_ex)
-            normal_acc, normal_val_acc = worker.recv()
+            normal_acc, normal_val_acc = arm.recv()
 
     report = {
         "seed": train_config.seed,

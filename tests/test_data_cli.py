@@ -2,6 +2,7 @@ import inspect
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -205,10 +206,7 @@ def test_dataset_file_round_trip(tmp_path):
     records = gen_synth("addition", 20, 0.25, 4)
     path = tmp_path / "data.jsonl"
     save_dataset(records, path)
-    loaded = load_dataset(path)
-    assert [r.id for r in loaded] == [r.id for r in records]
-    assert all(a.output_text == b.output_text for a, b in zip(records, loaded))
-    assert all(a.noise == b.noise for a, b in zip(records, loaded))
+    assert load_dataset(path) == [tokenize(r) for r in records]
 
 
 _GOOD_LINE = {"id": "a", "input_text": "1+2=", "output_text": "3", "noise": [False]}
@@ -267,9 +265,11 @@ def _run(args):
 
 
 def test_the_cli_imports_no_scipy():
-    # a fresh interpreter: this one may hold modules that other tests imported
+    # a fresh interpreter: this one may hold modules that other tests imported;
+    # the process modules load only when a command forks
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, xtf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    roots = ("scipy", "multiprocessing", "concurrent")
+    code = f"import sys, xtf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
@@ -295,15 +295,23 @@ def test_cli_rejects_bad_artifacts_with_one_line(tmp_path, capsys):
     assert _run(["gen-synth", "--task", "addition", "--size", "20", "--noise-rate", "0.25", "--seed", "3", "--out", str(data)]) == 0
     data_lines = data.read_text().splitlines()
     bad_data = tmp_path / "bad_data.jsonl"
+    third = json.loads(data_lines[2])
+    # lines that load but do not tokenize: no label, a character outside the alphabet, a flag too many
+    untokenizable = [
+        {k: v for k, v in third.items() if k != "output_text"},
+        {**third, "output_text": third["output_text"] + "\u00e9", "noise": third["noise"] + [False]},
+        {**third, "noise": third["noise"] + [False]},
+    ]
     for bad in (
         [json.dumps({k: v for k, v in json.loads(data_lines[0]).items() if k != "id"})] + data_lines[1:],
         data_lines + [data_lines[3]],
+        *(data_lines[:2] + [json.dumps(obj)] + data_lines[3:] for obj in untokenizable),
     ):
         bad_data.write_text("\n".join(bad) + "\n")
         capsys.readouterr()
         assert _run(["score", "--data", str(bad_data), "--config", str(cfg), "--seed", "3", "--out", str(scores)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert re.match(rf"error: {re.escape(str(bad_data))}:\d+: ", err) and err.count("\n") == 1, err
         assert not scores.exists()
     assert _run(["score", "--data", str(data), "--config", str(cfg), "--seed", "3", "--out", str(scores)]) == 0
     lines = scores.read_text().splitlines()
@@ -374,6 +382,7 @@ def test_cli_rejects_bad_config_with_one_line(tmp_path, capsys):
         ("learning_rate = nan\n", "train", f"{cfg}: learning_rate must be"),
         ("val_fraction = 1.5\n", "train", f"{cfg}: val_fraction must be"),
         ("split_train = -5\nsplit_val = 10\nsplit_test = 15\n", "run-experiment", f"{cfg}: split_train = '-5'"),
+        ("base_epochs = -3\n", "run-experiment", f"{cfg}: base_epochs = '-3'"),
         ("d_model = 16\nd_model = 32\n", "score", f"{cfg}:2: repeated key 'd_model'"),
         ("d_model = 16\nnot a pair\n", "score", f"{cfg}:2: expected 'key = value'"),
     ):
@@ -703,7 +712,7 @@ def test_a_damaged_masks_file_trains_or_exits_1_with_one_line(tmp_path, capsys, 
     if not data.exists():
         _tiny_cli_files(tmp_path)
         save_masks(
-            [NoiseMask(r.id, list(r.noise), [("KN",) if f else () for f in r.noise]) for r in map(tokenize, load_dataset(data))],
+            [NoiseMask(r.id, list(r.noise), [("KN",) if f else () for f in r.noise]) for r in load_dataset(data)],
             tmp_path / "good.jsonl",
         )
         good = ["train", "--data", str(data), "--masks", str(tmp_path / "good.jsonl"), "--config", str(cfg)]
@@ -790,7 +799,7 @@ def test_cli_train_ignores_allfalse_vs_no_masks(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("d_model = 16\nn_layers = 1\nn_heads = 2\nd_ff = 24\nepochs = 1\nbatch_size = 8\n")
     masks_path = tmp_path / "allfalse.jsonl"
-    examples = [tokenize(r) for r in load_dataset(data)]
+    examples = load_dataset(data)
     from xtf.filtering import save_masks
 
     save_masks(

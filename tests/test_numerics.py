@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_ops as ref
 from reference_ops import finite_diff_check
@@ -292,6 +294,39 @@ def test_feed_forward_is_bitwise_the_unfused_ops():
     assert fused.value.tobytes() == plain.value.tobytes()
     for a, b in zip(fused_grads, plain_grads):
         assert a.tobytes() == b.tobytes()
+
+
+def test_balanced_cuts_balance_sizes_and_leave_no_piece_empty():
+    # row counts of a batch's runs, cut in two as the share worker's prefix
+    assert nm.balanced_cuts([100], 2) == []
+    assert nm.balanced_cuts([126, 120, 60], 2) == [1]
+    assert nm.balanced_cuts([40, 46, 46, 23], 2) == [2]
+    assert nm.balanced_cuts([10, 10, 100], 2) == [2]
+    assert nm.balanced_cuts([1, 2, 1], 2) == [1]  # a tie takes the earlier boundary
+    # token counts of examples, cut into one slice per core as scoring does
+    even = [10] * 6
+    assert nm.balanced_cuts(even, 1) == []
+    assert nm.balanced_cuts(even, 2) == [3]
+    assert nm.balanced_cuts(even, 3) == [2, 4]
+    assert nm.balanced_cuts(even[:1], 4) == []
+    assert nm.balanced_cuts([], 3) == []
+    uneven = [50, 5, 5, 5, 5]
+    assert nm.balanced_cuts(uneven, 2) == [1]
+    # the first item holds more than two thirds of the total, so both cuts
+    # fall after it and the repeated one is dropped
+    assert nm.balanced_cuts(uneven, 3) == [1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(1, 1000), min_size=1, max_size=30), parts=st.integers(1, 4))
+def test_balanced_cuts_are_increasing_inner_and_two_part_cuts_are_min_max(sizes, parts):
+    cuts = nm.balanced_cuts(sizes, parts)
+    assert all(a < b for a, b in zip([0] + cuts, cuts + [len(sizes)]))  # increasing, inside (0, n)
+    assert len(cuts) <= parts - 1
+    if parts == 2 and len(sizes) > 1:
+        (k,) = cuts
+        best = min(max(sum(sizes[:i]), sum(sizes[i:])) for i in range(1, len(sizes)))
+        assert max(sum(sizes[:k]), sum(sizes[k:])) == best
 
 
 def test_one_blas_thread_pins_and_restores():

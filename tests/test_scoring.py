@@ -9,7 +9,7 @@ from conftest import TINY, _children, randomize_params
 from xtf import scoring
 from xtf.data import TokenizedExample
 from xtf.model import InputError, init, forward
-from xtf.numerics import one_blas_thread, softmax_value
+from xtf.numerics import balanced_cuts, one_blas_thread, softmax_value
 from xtf.scoring import (
     DISTANCE_METRICS,
     DOMAIN_SOURCES,
@@ -399,19 +399,6 @@ def no_fork(monkeypatch):
 fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the helpers by fork")
 
 
-def test_token_slices_balance_tokens_and_are_never_empty():
-    examples = [_example([1] * (n - 1), [2]) for n in (10, 10, 10, 10, 10, 10)]
-    assert scoring._token_slices(examples, 1) == [(0, 6)]
-    assert scoring._token_slices(examples, 2) == [(0, 3), (3, 6)]
-    assert scoring._token_slices(examples, 3) == [(0, 2), (2, 4), (4, 6)]
-    uneven = [_example([1] * (n - 1), [2]) for n in (50, 5, 5, 5, 5)]
-    assert scoring._token_slices(uneven, 2) == [(0, 1), (1, 5)]
-    # the first example holds more than two thirds of the tokens, so the next
-    # cut follows the next example
-    assert scoring._token_slices(uneven, 3) == [(0, 1), (1, 2), (2, 5)]
-    assert scoring._token_slices(examples[:1], 4) == [(0, 1)]
-
-
 @pytest.mark.parametrize("distance_metric", DISTANCE_METRICS)
 @pytest.mark.parametrize("domain_source", DOMAIN_SOURCES)
 @pytest.mark.parametrize("ri_agg", RI_AGGS)
@@ -419,7 +406,7 @@ def test_split_scoring_is_bitwise_the_serial_loop(ri_agg, domain_source, distanc
     params = randomize_params(init(TINY), seed=5)
     dataset = _random_dataset(3)
     kwargs = dict(ri_agg=ri_agg, domain_source=domain_source, distance_metric=distance_metric)
-    assert len(scoring._token_slices(dataset, 3)) == 3
+    assert len(balanced_cuts([len(ex.tokens) for ex in dataset], 3)) == 2  # three slices
     _assert_same_result(score_dataset(params, dataset, **kwargs), _serial_scores(params, dataset, **kwargs))
     assert multiprocessing.active_children() == [] and _children() == []
 
@@ -444,9 +431,9 @@ def test_split_scoring_keeps_the_errors_and_their_order(three_cores, monkeypatch
 
     monkeypatch.setattr(scoring, "score_tr", failing_score_tr)
     valid = [ex for ex in dataset if scoring._validate_example(params, ex) is None]
-    slices = scoring._token_slices(valid, 3)
-    assert len(slices) == 3 and all(
-        any(ex.id in failing for ex in valid[start:stop]) for start, stop in slices
+    bounds = [0, *balanced_cuts([len(ex.tokens) for ex in valid], 3), len(valid)]
+    assert len(bounds) == 4 and all(
+        any(ex.id in failing for ex in valid[start:stop]) for start, stop in zip(bounds, bounds[1:])
     )
     got = score_dataset(params, dataset)
     want = _serial_scores(params, dataset)

@@ -360,7 +360,7 @@ def _copy_experiment(records, split_counts=(100, 10, 10), train_config=COPY_TRAI
 
 
 def test_run_experiment_unmasked_arm_equals_sequential_train():
-    # the worker's arm is the same arithmetic as training it in this process
+    # the forked arm is the same arithmetic as training it in this process
     records = gen_synth("copy", 120, 0.0, 3)
     report = _copy_experiment(records)
     examples = {r.id: tokenize(r) for r in records}
@@ -477,7 +477,9 @@ def _base_corpus(seed, n_task=40, n_background=16):
 
 @pytest.mark.parametrize("max_seq, batch_size", [(128, 6), (48, 8)])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_base_with_the_worker_share_is_bitwise_the_single_process_base(seed, max_seq, batch_size):
+def test_base_with_the_worker_share_is_bitwise_the_single_process_base(
+    seed, max_seq, batch_size, monkeypatch, shared_batches
+):
     # (128, 6) cuts most batches into one run, which the worker never gets;
     # (48, 8) cuts them into 3-4 runs, so the worker sums two runs at times
     model_config = ModelConfig(d_model=16, n_layers=1, n_heads=2, d_ff=24, max_seq=max_seq, seed=seed + 3)
@@ -487,36 +489,30 @@ def test_base_with_the_worker_share_is_bitwise_the_single_process_base(seed, max
     batches = [[examples[i] for i in order[j : j + batch_size]] for j in range(0, len(order), batch_size)]
     run_counts = {len(_runs(batch, max_seq)) for batch in batches}
     assert {1, 2} <= run_counts if max_seq == 128 else max(run_counts) >= 4
-    with nm.one_blas_thread():
-        alone = training.warmup_base(init(model_config), examples, cfg, 2)
-        with training._ShareWorker(model_config) as worker:
-            shared = training.warmup_base(init(model_config), examples, cfg, 2, worker)
+    bases = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(nm, "available_cores", lambda cores=cores: cores)
+        bases[cores] = (
+            training.warmup_base(init(model_config), examples, cfg, 2),
+            prepare_base(model_config, cfg, 1, seed, task_size=20, background_size=10),
+        )
+        assert bool(shared_batches) == (cores == 2)
+    for alone, shared in zip(bases[1], bases[2]):
         assert shared.fingerprint() == alone.fingerprint()
-        kwargs = dict(task_size=20, background_size=10)
-        alone = prepare_base(model_config, cfg, 1, seed, **kwargs)
-        with training._ShareWorker(model_config) as worker:
-            shared = prepare_base(model_config, cfg, 1, seed, **kwargs, worker=worker)
-        assert shared.fingerprint() == alone.fingerprint()
+        assert all(t.value.base is None for t in shared.values())  # copies, not views of the shared buffer
     assert _children() == []
-
-
-def test_prefix_share_balances_rows():
-    assert training._prefix_share([100]) == 0
-    assert training._prefix_share([126, 120, 60]) == 1
-    assert training._prefix_share([40, 46, 46, 23]) == 2
-    assert training._prefix_share([10, 10, 100]) == 2
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the worker by fork")
 @pytest.mark.parametrize("sides", [("worker",), ("parent",), ("worker", "parent")])
-def test_a_non_finite_run_names_the_same_run_with_the_worker_share(sides, monkeypatch):
+def test_a_non_finite_run_names_the_same_run_with_the_worker_share(sides, monkeypatch, shared_batches):
     # the last run of the worker's share, the first of the parent's or both
     # diverge; the first one in run order is named
     cfg = TrainConfig(learning_rate=3e-3, epochs=1, batch_size=16, optimizer="adam", seed=1)
     examples = _base_corpus(1, n_task=60, n_background=30)
     order = np.random.default_rng(subseed(cfg.seed, "warmup")).permutation(len(examples))
     runs = _runs([examples[i] for i in order[32:48]], SHARE_MODEL.max_seq)  # the third batch
-    k = training._prefix_share([sum(len(ex.tokens) for ex in run) for run in runs])
+    (k,) = nm.balanced_cuts([sum(len(ex.tokens) for ex in run) for run in runs], 2)
     bad = [runs[k - 1 if side == "worker" else k][0].id for side in sides]
     plain_packed_loss = training.packed_loss
 
@@ -525,17 +521,20 @@ def test_a_non_finite_run_names_the_same_run_with_the_worker_share(sides, monkey
         return (np.inf if any(ex.id in bad for ex in run) else loss), grads
 
     monkeypatch.setattr(training, "packed_loss", diverging_packed_loss)
+    monkeypatch.setattr(nm, "available_cores", lambda: 1)
     with pytest.raises(training.TrainingError, match=bad[0]) as alone:
         training.warmup_base(init(SHARE_MODEL), examples, cfg, 1)
-    with training._ShareWorker(SHARE_MODEL) as worker, pytest.raises(training.TrainingError) as shared:
-        training.warmup_base(init(SHARE_MODEL), examples, cfg, 1, worker)
+    monkeypatch.setattr(nm, "available_cores", lambda: 2)
+    with pytest.raises(training.TrainingError) as shared:
+        training.warmup_base(init(SHARE_MODEL), examples, cfg, 1)
+    assert shared_batches
     assert str(shared.value) == str(alone.value)
     assert _children() == []
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the worker by fork")
 @pytest.mark.parametrize("side", ["worker", "parent"])
-def test_run_experiment_raises_a_base_phase_error_at_once(side, monkeypatch):
+def test_run_experiment_raises_a_base_phase_error_at_once(side, monkeypatch, two_cores):
     # 40 base epochs take well over 10 s; an error on either side in the first
     # batch ends the experiment within seconds and leaves no process behind
     parent_pid = os.getpid()
@@ -721,3 +720,6 @@ def test_train_starts_no_process_on_one_core_or_when_no_batch_spans_two_runs(cor
     cfg = TrainConfig(learning_rate=3e-3, epochs=2, batch_size=batch_size, seed=2)
     alone = training._train(init(SHARE_MODEL), examples[4:], None, cfg, examples[:4])
     _same_result(train(init(SHARE_MODEL), examples[4:], None, cfg, val_set=examples[:4]), alone)
+    # the base's own corpus, whose four longest samples fit in one run too
+    base = prepare_base(SHARE_MODEL, cfg, 1, 2, task_size=20, background_size=10)
+    assert base.fingerprint() != init(SHARE_MODEL).fingerprint()
