@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import os
 from types import SimpleNamespace
@@ -397,6 +398,50 @@ def no_fork(monkeypatch):
 
 
 fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the helpers by fork")
+
+
+def test_token_slices_balance_tokens_and_are_never_empty(monkeypatch):
+    # the slices score_dataset hands its helpers and itself, seen in one
+    # process: a helper runs in place and a slice is scored as nothing
+    params = init(dataclasses.replace(TINY, max_seq=64))
+    slices = []
+
+    class InlineFork:
+        def __init__(self, fn, *args):
+            self._result = fn(None, *args)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        def recv(self):
+            return self._result
+
+    def record(params, examples, domain, ri_agg):
+        slices.append(len(examples))
+        return [], []
+
+    monkeypatch.setattr(scoring, "Fork", InlineFork)
+    monkeypatch.setattr(scoring, "_score_slice", record)
+
+    def slice_sizes(lengths, cores):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        slices.clear()
+        score_dataset(params, [_example([1] * (n - 1), [2], f"r{i}") for i, n in enumerate(lengths)])
+        return slices.copy()
+
+    even = (10, 10, 10, 10, 10, 10)
+    assert slice_sizes(even, 1) == [6]
+    assert slice_sizes(even, 2) == [3, 3]
+    assert slice_sizes(even, 3) == [2, 2, 2]
+    uneven = (50, 5, 5, 5, 5)
+    assert slice_sizes(uneven, 2) == [1, 4]
+    # the first example holds more than two thirds of the tokens, so both
+    # cuts fall after it and two slices remain
+    assert slice_sizes(uneven, 3) == [1, 4]
+    assert slice_sizes(even[:1], 4) == [1]
 
 
 @pytest.mark.parametrize("distance_metric", DISTANCE_METRICS)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -501,6 +502,25 @@ def test_base_with_the_worker_share_is_bitwise_the_single_process_base(
         assert shared.fingerprint() == alone.fingerprint()
         assert all(t.value.base is None for t in shared.values())  # copies, not views of the shared buffer
     assert _children() == []
+
+
+def test_prefix_share_balances_rows(monkeypatch):
+    # how many of a batch's runs `_ShareWorker.gradient_sum` sends its worker,
+    # seen in one process: no worker starts and no gradient is computed
+    sent = []
+    worker = SimpleNamespace(send=lambda runs: sent.append(len(runs)), collect=lambda: ([], []))
+    monkeypatch.setattr(training, "packed_loss", lambda params, run, masks: (0.0, []))
+    monkeypatch.setattr(training, "_gradient_sum", lambda params, runs: sent.append(0))
+
+    def share(rows):
+        sent.clear()
+        training._ShareWorker.gradient_sum(worker, None, [([_example([1] * (n - 1), [2])], None) for n in rows])
+        return sent
+
+    assert share([100]) == [0]
+    assert share([126, 120, 60]) == [1]
+    assert share([40, 46, 46, 23]) == [2]
+    assert share([10, 10, 100]) == [2]
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the worker by fork")
