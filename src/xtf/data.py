@@ -4,7 +4,7 @@ The tokenizer is a fixed byte-level map over a 96-symbol printable alphabet
 (ASCII 0x20..0x7E plus newline, ids 0..95) with three specials appended:
 PAD=96, BOS=97, EOS=98. So ' ' is id 0, '!' is id 1, '~' is id 94 and '\\n'
 is id 95. Labels get EOS appended at tokenization so generation has a stop
-target; detokenization drops specials, making the text round trip exact.
+target.
 """
 
 from __future__ import annotations
@@ -73,10 +73,6 @@ def encode_text(text: str, record_id: str = "?") -> list[int]:
             raise IngestionError(f"record {record_id!r}: character {ch!r} outside the alphabet")
         ids.append(tid)
     return ids
-
-
-def decode_ids(ids) -> str:
-    return "".join(ALPHABET[i] for i in ids if 0 <= i < len(ALPHABET))
 
 
 def tokenize(record: DatasetRecord) -> TokenizedExample:

@@ -12,6 +12,7 @@ would otherwise sit in the checkpoint as a forever-zero-gradient parameter.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import numerics as nm
 from .data import write_atomic
-from .numerics import Tensor
+from .numerics import ContractError, Tensor
 
 
 class ConfigError(ValueError):
@@ -35,6 +36,7 @@ class TrainingError(RuntimeError):
 
 
 MASK_FILL = -1e30  # finite stand-in for -inf; underflows to exactly 0 after softmax
+MAX_WEIGHTS = 2**24  # 128 MiB of float64: bounds what a config or checkpoint header can ask `init` for
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,14 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
+        # the count is linear in n_layers, so the tables of 0 and 1 blocks give it without a per-block loop
+        without, one = (sum(math.prod(s) for s in param_shapes(self, n).values()) for n in (0, 1))
+        weights = without + self.n_layers * (one - without)
+        if weights > MAX_WEIGHTS:
+            raise ConfigError(
+                f"vocab_size={self.vocab_size}, d_model={self.d_model}, n_layers={self.n_layers}, d_ff={self.d_ff} "
+                f"and max_seq={self.max_seq} make {weights} weights, more than the {MAX_WEIGHTS} allowed"
+            )
 
 
 @dataclass
@@ -91,11 +101,12 @@ class ForwardTrace:
     attention: np.ndarray  # (n_layers, n_heads, seq, seq)
 
 
-def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name and shape of every weight, in construction (and checkpoint) order."""
+def param_shapes(config: ModelConfig, n_layers: int | None = None) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every weight, in construction (and checkpoint)
+    order; with `n_layers`, of a model with that many blocks instead."""
     d, dff, v = config.d_model, config.d_ff, config.vocab_size
     shapes: dict[str, tuple[int, ...]] = {"tok_emb": (v, d), "pos_emb": (config.max_seq, d)}
-    for i in range(config.n_layers):
+    for i in range(config.n_layers if n_layers is None else n_layers):
         p = f"layer{i}"
         shapes[f"{p}.ln1.gain"] = shapes[f"{p}.ln1.bias"] = (d,)
         for name in ("wq", "wk", "wv", "wo"):
@@ -165,60 +176,78 @@ def _causal_mask(s: int) -> np.ndarray:
 
 
 def _causal_attention(
-    q: Tensor, k: Tensor, v: Tensor, n_heads: int, bounds: tuple[tuple[int, int], ...] | None = None
+    q: Tensor, k: Tensor, v: Tensor, n_heads: int, bounds: tuple[tuple[int, int], ...] | None = None, rows=None
 ) -> tuple[Tensor, list[np.ndarray]]:
     """Fused multi-head causal attention over (seq, d_model) projections.
 
     `bounds` lists the (start, end) rows of each packed sequence (default:
     one sequence); each block attends only within itself, so no row sees
-    across a bound and no score is computed there. One tape record instead
-    of a dozen; returns the mixed context and, per sequence, the per-head
-    attention weights (heads, len, len), exactly 0 above the diagonal.
+    across a bound and no score is computed there. With `rows` (sorted rows
+    of the stream), `q` and the result hold those rows' queries alone. One
+    tape record instead of a dozen; returns the mixed context and, per
+    sequence, the per-head attention weights (heads, queries, len), exactly
+    0 where a key follows its query.
     """
-    s, d = q.shape
+    s, d = k.shape
+    n = q.shape[0]
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
     bounds = bounds or ((0, s),)
-    q3 = q.value.reshape(s, n_heads, dh).swapaxes(0, 1)
+    # the query rows [i, j) of each sequence [a, b), and their mask rows
+    if rows is None:
+        spans = [(a, b, a, b, _causal_mask(b - a)) for a, b in bounds]
+    else:
+        cuts = np.searchsorted(rows, bounds).tolist()
+        spans = [(a, b, i, j, _causal_mask(b - a)[rows[i:j] - a]) for (a, b), (i, j) in zip(bounds, cuts)]
+    q3 = q.value.reshape(n, n_heads, dh).swapaxes(0, 1)
     k3 = k.value.reshape(s, n_heads, dh).swapaxes(0, 1)
     v3 = v.value.reshape(s, n_heads, dh).swapaxes(0, 1)
-    ctx3 = np.empty((n_heads, s, dh))
+    ctx3 = np.empty((n_heads, n, dh))
     blocks = []
-    for a, b in bounds:
-        scores = q3[:, a:b] @ k3[:, a:b].swapaxes(1, 2) * scale + _causal_mask(b - a)
+    for a, b, i, j, mask in spans:
+        scores = q3[:, i:j] @ k3[:, a:b].swapaxes(1, 2) * scale + mask
         m = scores.max(axis=-1, keepdims=True)
         e = np.exp(scores - m)
         w = e / e.sum(axis=-1, keepdims=True)
-        ctx3[:, a:b] = w @ v3[:, a:b]
+        ctx3[:, i:j] = w @ v3[:, a:b]
         blocks.append(w)
-    out = Tensor(ctx3.swapaxes(0, 1).reshape(s, d))
+    out = Tensor(ctx3.swapaxes(0, 1).reshape(n, d))
 
     def bwd(g):
-        g3 = g.reshape(s, n_heads, dh).swapaxes(0, 1)
-        g_q3, g_k3, g_v3 = (np.empty((n_heads, s, dh)) for _ in range(3))
-        for (a, b), w in zip(bounds, blocks):
-            g_w = g3[:, a:b] @ v3[:, a:b].swapaxes(1, 2)
-            g_v3[:, a:b] = w.swapaxes(1, 2) @ g3[:, a:b]
+        g3 = g.reshape(n, n_heads, dh).swapaxes(0, 1)
+        g_q3, g_k3, g_v3 = (np.empty((n_heads, r, dh)) for r in (n, s, s))
+        for (a, b, i, j, _), w in zip(spans, blocks):
+            g_w = g3[:, i:j] @ v3[:, a:b].swapaxes(1, 2)
+            g_v3[:, a:b] = w.swapaxes(1, 2) @ g3[:, i:j]
             g_scores = w * (g_w - np.sum(w * g_w, axis=-1, keepdims=True))
             g_scores *= scale
-            g_q3[:, a:b] = g_scores @ k3[:, a:b]
-            g_k3[:, a:b] = g_scores.swapaxes(1, 2) @ q3[:, a:b]
-        to_flat = lambda a: a.swapaxes(0, 1).reshape(s, d)
+            g_q3[:, i:j] = g_scores @ k3[:, a:b]
+            g_k3[:, a:b] = g_scores.swapaxes(1, 2) @ q3[:, i:j]
+        to_flat = lambda a: a.swapaxes(0, 1).reshape(-1, d)
         return to_flat(g_q3), to_flat(g_k3), to_flat(g_v3)
 
     nm.record_op(out, (q, k, v), bwd)
     return out, blocks
 
 
-def forward_tensors(params: ModelParams, tokens, lengths=None) -> tuple[Tensor, list[list[np.ndarray]]]:
+def forward_tensors(params: ModelParams, tokens, lengths=None, rows=None) -> tuple[Tensor, list[list[np.ndarray]]]:
     """Causal forward pass. Returns the logits tensor (differentiable when a
     tape is active) and, per layer, each sequence's attention weights.
 
     With `lengths`, `tokens` is several sequences concatenated without
     padding; each starts at position 0 and attends only within itself, so
-    its rows of the result are those of its own forward pass."""
+    its rows of the result are those of its own forward pass.
+
+    With `rows`, strictly increasing rows of `tokens`, the logits are those
+    rows' alone (and equal the full pass's up to rounding): every row still
+    gives keys and values, but the last block, the final norm and the head
+    run only at `rows`, whose queries alone the last layer's weights hold."""
     cfg = params.config
     ids, bounds = _check_tokens(cfg, tokens, lengths)
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.ndim != 1 or (rows.size and (rows[0] < 0 or rows[-1] >= ids.size or np.any(rows[1:] <= rows[:-1]))):
+            raise ContractError(f"rows must strictly increase inside [0, {ids.size}), got {rows.tolist()}")
     pos_ids = None if lengths is None else np.concatenate([np.arange(b - a) for a, b in bounds])
 
     x = nm.embed_positions(params["tok_emb"], params["pos_emb"], ids, pos_ids)
@@ -226,12 +255,15 @@ def forward_tensors(params: ModelParams, tokens, lengths=None) -> tuple[Tensor, 
 
     for i in range(cfg.n_layers):
         p = f"layer{i}"
+        last = rows is not None and i == cfg.n_layers - 1
         normed = nm.layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
-        q = nm.linear(normed, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"])
+        q = nm.linear(nm.gather_rows(normed, rows) if last else normed, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"])
         k = nm.matmul(normed, params[f"{p}.attn.wk"])
         v = nm.linear(normed, params[f"{p}.attn.wv"], params[f"{p}.attn.bv"])
-        ctx, weights = _causal_attention(q, k, v, cfg.n_heads, bounds)
+        ctx, weights = _causal_attention(q, k, v, cfg.n_heads, bounds, rows if last else None)
         attn_maps.append(weights)
+        if last:
+            x = nm.gather_rows(x, rows)
         x = nm.add(x, nm.linear(ctx, params[f"{p}.attn.wo"], params[f"{p}.attn.bo"]))
 
         normed2 = nm.layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])

@@ -168,17 +168,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; 2-D, or 3-D with matching leading (batch) dimension."""
-    if a.ndim != b.ndim or a.ndim not in (2, 3):
-        raise ShapeError(f"matmul: need matching 2-D or 3-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions disagree: {a.shape} @ {b.shape}")
-    if a.ndim == 3 and a.shape[0] != b.shape[0]:
-        raise ShapeError(f"matmul: batch dimensions disagree: {a.shape} @ {b.shape}")
+    """Matrix product of 2-D operands."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
     out = Tensor(a.value @ b.value)
 
     def bwd(g):
-        return g @ b.value.swapaxes(-1, -2), a.value.swapaxes(-1, -2) @ g
+        return g @ b.value.T, a.value.T @ g
 
     return record_op(out, (a, b), bwd)
 
@@ -197,6 +193,12 @@ def scatter_rows(index: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
     d = g.shape[1]
     flat = (index[:, None] * d + np.arange(d)).ravel()
     return np.bincount(flat, weights=g.ravel(), minlength=n_rows * d).reshape(n_rows, d)
+
+
+def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
+    """Rows `x[index]` of a 2-D tensor; backward scatter-adds into `x`."""
+    out = Tensor(x.value[index])
+    return record_op(out, (x,), lambda g: (scatter_rows(index, g, x.shape[0]),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

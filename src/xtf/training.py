@@ -73,7 +73,8 @@ def packed_loss(
     """Masked loss summed over `examples`, with gradients (in `params.values()`
     order) from one tape. The examples are concatenated without padding into
     one stream of at most `max_seq` rows; no sequence attends to another, so
-    the result is the sum of their `masked_loss` results."""
+    the result is the sum of their `masked_loss` results. The last block
+    runs only at the rows that predict kept tokens (`forward_tensors`)."""
     tokens: list[int] = []
     lengths, rows, cols = [], [], []
     for ex, mask in zip(examples, masks):
@@ -86,8 +87,8 @@ def packed_loss(
     if rows_all.size == 0:
         return 0.0, [np.zeros_like(t.value) for t in params.values()]
     with GradientTape() as tape:
-        logits, _ = forward_tensors(params, tokens, lengths)
-        loss = nm.sequence_nll(logits, rows_all, np.concatenate(cols))
+        logits, _ = forward_tensors(params, tokens, lengths, rows_all)
+        loss = nm.sequence_nll(logits, np.arange(rows_all.size), np.concatenate(cols))
     return float(loss.value), tape.gradients(loss, params.values())
 
 
@@ -274,6 +275,9 @@ def _train(
     if not usable:
         raise TrainingError("every training sample is fully masked")
 
+    kept = sum(_kept_targets(ex, masks.get(ex.id) if masks else None)[0].size for ex in usable)
+    labels = sum(len(ex.output_ids) for ex in usable)
+    counts = {"tokens": sum(len(ex.tokens) for ex in usable), "kept_tokens": kept, "masked_tokens": labels - kept}
     work = params.copy() if worker is None else worker.hold(params)
     opt_state = OptState()
     rng = np.random.default_rng(config.seed)
@@ -294,6 +298,7 @@ def _train(
                     "train_loss": train_loss,
                     "val_acc": val_acc,
                     "dropped_fully_masked": len(dataset) - len(usable),
+                    **counts,
                 }
             )
         if val_acc > result.best_val_acc:

@@ -35,19 +35,6 @@ def total(a: Tensor) -> Tensor:
     return nm.record_op(out, (a,), lambda g: (np.broadcast_to(g, a.value.shape).copy(),))
 
 
-def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup `table[ids]`; backward scatter-adds into the table."""
-    ids = np.asarray(ids, dtype=np.intp)
-    out = Tensor(table.value[ids])
-
-    def bwd(g):
-        gt = np.zeros_like(table.value)
-        np.add.at(gt, ids, g)
-        return (gt,)
-
-    return nm.record_op(out, (table,), bwd)
-
-
 def pick(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     """Select entries a[rows[i], cols[i]] into a vector."""
     rows = np.asarray(rows, dtype=np.intp)

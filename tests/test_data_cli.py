@@ -23,7 +23,6 @@ from xtf.data import (
     VOCAB_SIZE,
     DatasetRecord,
     IngestionError,
-    decode_ids,
     gen_synth,
     load_config,
     load_dataset,
@@ -42,6 +41,11 @@ from xtf.training import TrainConfig
 # ---------------------------------------------------------------------------
 # tokenizer
 # ---------------------------------------------------------------------------
+
+
+def decode_ids(ids) -> str:
+    """The text of `ids`, specials dropped: the inverse of tokenizing."""
+    return "".join(ALPHABET[i] for i in ids if 0 <= i < len(ALPHABET))
 
 
 def test_alphabet_edge_ids():
@@ -394,6 +398,27 @@ def test_cli_rejects_bad_config_with_one_line(tmp_path, capsys):
         assert not out.exists()
     cfg.write_text("d_model = 16\nn_layers = 1\nn_heads = 2\nd_ff = 24\ntie_output = False\n")
     assert _run(["score", "--data", str(data), "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 0
+
+
+def test_cli_rejects_an_oversized_model_under_a_memory_limit(tmp_path):
+    # the embedding table alone would be ~79 GB; the limit turns a check
+    # that ever stops catching it into a MemoryError, not a machine out of memory
+    import resource
+
+    data, cfg, out = tmp_path / "data.jsonl", tmp_path / "run.cfg", tmp_path / "model.ckpt"
+    assert _run(["gen-synth", "--size", "20", "--seed", "0", "--out", str(data)]) == 0
+    cfg.write_text("d_model = 100000000\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    gib = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "xtf.cli", "train", "--data", str(data), "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (gib, gib)),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: {cfg}: ") and "d_model=100000000" in proc.stderr, proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+    assert not out.exists()
 
 
 def test_cli_run_experiment_checks_config_before_any_work(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import TINY, randomize_params
 from reference_ops import embed, finite_diff_check, log_softmax, next_token_probs, pick, scale, total
 from xtf.data import TokenizedExample
 from xtf.model import (
+    MAX_WEIGHTS,
     ConfigError,
     InputError,
     ModelConfig,
@@ -15,6 +18,7 @@ from xtf.model import (
     init,
     load_checkpoint,
     optimizer_step,
+    param_shapes,
     save_checkpoint,
 )
 from xtf.numerics import Tensor
@@ -36,6 +40,22 @@ def test_init_seed_changes_params():
 def test_init_rejects_indivisible_heads():
     with pytest.raises(ConfigError):
         ModelConfig(d_model=33, n_heads=2)
+
+
+def test_config_bounds_the_weight_count():
+    # counted, not allocated: each of these would ask `init` for gigabytes,
+    # and a billion blocks would take as long to list
+    for sizes in (dict(d_model=100_000_000), dict(n_layers=10**9), dict(vocab_size=2**24), dict(d_ff=2**20)):
+        with pytest.raises(ConfigError, match=f"{next(iter(sizes))}=.* weights, more than the {MAX_WEIGHTS} allowed"):
+            ModelConfig(**sizes)
+    # the count is that of `param_shapes`: the largest vocabulary that fits
+    # passes, one more token (d_model more weights) fails
+    weights = lambda cfg: sum(int(np.prod(s)) for s in param_shapes(cfg).values())
+    one = ModelConfig(vocab_size=1)
+    fits = ModelConfig(vocab_size=1 + (MAX_WEIGHTS - weights(one)) // one.d_model)
+    assert MAX_WEIGHTS - one.d_model < weights(fits) <= MAX_WEIGHTS
+    with pytest.raises(ConfigError):
+        ModelConfig(vocab_size=fits.vocab_size + 1)
 
 
 def test_forward_attention_rows_normalized(tiny_params):
@@ -227,6 +247,12 @@ def test_checkpoint_rejects_every_malformed_file(tmp_path, tiny_generic_params):
     del short.tensors["final.bias"]
     save_checkpoint(short, bad)
     with pytest.raises(InputError):
+        load_checkpoint(bad)
+    # a header asking for a model past the weight ceiling fails before any tensor is read
+    huge = bytearray(blob)
+    struct.pack_into("<I", huge, 12, 100_000_000)  # d_model, after magic, version and vocab_size
+    bad.write_bytes(bytes(huge))
+    with pytest.raises(InputError, match=f"{bad}: .*d_model=100000000.* weights"):
         load_checkpoint(bad)
 
 

@@ -193,6 +193,49 @@ def test_packed_loss_equals_sum_of_single_sequence_losses(with_masks):
             start += len(ex.tokens)
 
 
+def _full_rows_packed_loss(params, run, masks):
+    """`packed_loss` with every row through the last block: the full
+    forward pass, then `sequence_nll` at the kept rows, on one tape."""
+    tokens, rows, cols = [], [], []
+    for ex, mask in zip(run, masks):
+        r, c = training._kept_targets(ex, mask)
+        rows.append(r + len(tokens))
+        cols.append(c)
+        tokens += ex.tokens
+    with nm.GradientTape() as tape:
+        logits, _ = forward_tensors(params, tokens, [len(ex.tokens) for ex in run], rows=None)
+        loss = nm.sequence_nll(logits, np.concatenate(rows), np.concatenate(cols))
+    return float(loss.value), tape.gradients(loss, params.values())
+
+
+def test_packed_loss_equals_the_full_rows_forward():
+    # the last block at the kept rows alone adds in another order, so the
+    # loss and every gradient agree within 1e-12 relative, not bitwise
+    rng = np.random.default_rng(23)
+    params = randomize_params(init(PACK), seed=8)
+    run = [_example(rng.integers(0, PACK.vocab_size, 4).tolist(), rng.integers(0, PACK.vocab_size, 5).tolist(), f"e{i}")
+           for i in range(3)]
+    a, b, c = run
+    every = set(range(5))
+    cases = [
+        [_mask(a, {1}), _mask(b, every), _mask(c, {0, 3})],  # a fully masked example in the middle
+        [_mask(a, every), _mask(b, every), _mask(c, {2})],  # only the last example keeps rows
+        [_mask(a, every), _mask(b, every - {3}), _mask(c, every)],  # a single kept row
+    ]
+    for examples, masks in [(run, m) for m in cases] + [_random_run(rng, PACK.max_seq, True) for _ in range(12)]:
+        loss, grads = packed_loss(params, examples, masks)
+        want, want_grads = _full_rows_packed_loss(params, examples, masks)
+        assert loss == pytest.approx(want, rel=1e-12, abs=0.0)
+        for name, g, w in zip(params.names(), grads, want_grads):
+            assert _close(g, w), name
+
+    # rows must strictly increase inside the stream, or the logits would be wrong
+    tokens = [t for ex in run for t in ex.tokens]
+    for rows in ([3, 2], [2, 2, 5], [-1, 4], [0, len(tokens)], [[1, 2]]):
+        with pytest.raises(ContractError, match="rows must strictly increase"):
+            forward_tensors(params, tokens, [9, 9, 9], rows)
+
+
 def test_packed_loss_keeps_the_token_checks():
     params = init(PACK)
     half = _example([1] * 10, [2] * 11)  # 21 rows: two overflow max_seq 40
@@ -694,6 +737,14 @@ def test_train_with_the_share_worker_is_bitwise_the_single_process_loop(
     assert shared_batches
     _same_result(shared, alone)
     assert alone.log[0]["dropped_fully_masked"] == 5  # examples 14, 21, 28, 35 and 42
+    usable = training._usable(examples[8:], masks)
+    kept = sum(training._kept_targets(ex, masks[ex.id])[0].size for ex in usable)
+    labels = sum(len(ex.output_ids) for ex in usable)
+    for entry in alone.log:
+        assert (entry["tokens"], entry["kept_tokens"], entry["masked_tokens"]) == (
+            sum(len(ex.tokens) for ex in usable), kept, labels - kept
+        )
+    assert 0 < kept < labels
     assert multiprocessing.active_children() == [] and _children() == []
 
 
