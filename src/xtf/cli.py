@@ -309,9 +309,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # every input error class is a ValueError, and a path that cannot be opened an OSError;
-    # a run that cannot go on raises TrainingError or ChildProcessError
-    except (OSError, F.UnsupportedOperation, ValueError, M.TrainingError, ChildProcessError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # a run that cannot go on raises TrainingError, ChildProcessError or MemoryError
+    except (OSError, F.UnsupportedOperation, ValueError, M.TrainingError, ChildProcessError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except AssertionError as exc:
         print(f"internal assertion failure: {exc}", file=sys.stderr)

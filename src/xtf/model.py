@@ -91,14 +91,15 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Everything one causal forward pass exposes.
+    """What one causal forward pass exposes at its query rows `first` on.
 
-    attention[l, h, q, p] is the weight query position q puts on key
+    attention[l, h, q - first, p] is the weight query position q puts on key
     position p; each row over p sums to 1 and is exactly 0 for p > q.
     """
 
-    logits: np.ndarray  # (seq, vocab)
-    attention: np.ndarray  # (n_layers, n_heads, seq, seq)
+    logits: np.ndarray  # (seq - first, vocab)
+    attention: np.ndarray  # (n_layers, n_heads, seq - first, seq)
+    first: int = 0
 
 
 def param_shapes(config: ModelConfig, n_layers: int | None = None) -> dict[str, tuple[int, ...]]:
@@ -278,10 +279,13 @@ def forward_tensors(params: ModelParams, tokens, lengths=None, rows=None) -> tup
     return logits, attn_maps
 
 
-def forward(params: ModelParams, tokens) -> ForwardTrace:
-    """Untaped forward pass packaged as a trace of plain arrays."""
-    logits, attn_maps = forward_tensors(params, tokens)
-    return ForwardTrace(logits=logits.value, attention=np.stack([blocks[0] for blocks in attn_maps]))
+def forward(params: ModelParams, tokens, first: int = 0) -> ForwardTrace:
+    """Untaped forward pass packaged as a trace of plain arrays. With `first`
+    > 0, the last block runs and the trace holds query rows `first` on only."""
+    if first and not 0 < first < len(tokens):
+        raise ContractError(f"first must lie in [0, {len(tokens)}), got {first}")
+    logits, attn_maps = forward_tensors(params, tokens, rows=np.arange(first, len(tokens)) if first else None)
+    return ForwardTrace(logits.value, np.stack([b[0][:, first - len(tokens) :] for b in attn_maps]), first)
 
 
 # ---------------------------------------------------------------------------

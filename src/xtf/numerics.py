@@ -42,11 +42,7 @@ def _as_f64(value) -> np.ndarray:
 
 
 class Tensor:
-    """A C-contiguous float64 array, optionally tracked by the active tape.
-
-    `shape` is the list of dimension sizes and `data` the row-major flat
-    view, so product(shape) == len(data) by construction.
-    """
+    """A C-contiguous float64 array, `value`, optionally tracked by the active tape."""
 
     __slots__ = ("value",)
 
@@ -68,9 +64,6 @@ class Tensor:
         if not np.all(np.isfinite(self.value)):
             raise NonFiniteError(f"{what} contains non-finite values")
         return self
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.value.shape})"
 
 
 class GradientTape:

@@ -71,11 +71,11 @@ def _ri_from_trace(trace: ForwardTrace, l_input: int, n_out: int, agg: str) -> n
     if agg not in RI_AGGS:
         raise ValueError(f"unknown ri aggregation {agg!r}")
     att = trace.attention if agg != "last_layer_mean" else trace.attention[-1:]
-    seq = att.shape[-1]
+    seq, f = att.shape[-1], trace.first
     s_ri = np.empty(n_out)
     for k in range(n_out):
         p = l_input + k
-        received = att[:, :, p + 1 :, p] if p + 1 < seq else att[:, :, p, p]
+        received = att[:, :, p + 1 - f :, p] if p + 1 < seq else att[:, :, p - f, p]
         # np.add.reduce is what `sum` computes, and divided by the size what
         # `mean` computes, without their wrappers
         total = np.add.reduce(received, axis=None)
@@ -85,7 +85,7 @@ def _ri_from_trace(trace: ForwardTrace, l_input: int, n_out: int, agg: str) -> n
 
 def _kn_from_trace(trace: ForwardTrace, example: TokenizedExample) -> tuple[np.ndarray, np.ndarray]:
     probs = softmax_value(trace.logits, axis=-1)
-    rows = np.arange(example.l_input - 1, example.l_input - 1 + len(example.output_ids))
+    rows = np.arange(example.l_input - 1, example.l_input - 1 + len(example.output_ids)) - trace.first
     pcp = probs[rows, example.output_ids]
     return pcp, 1.0 - pcp
 
@@ -167,13 +167,13 @@ def _validate_example(params: ModelParams, ex: TokenizedExample) -> str | None:
 def _score_slice(
     params: ModelParams, examples: list[TokenizedExample], domain: DomainVector, ri_agg: str
 ) -> tuple[list[TokenScores], list[tuple[str, str]]]:
-    """Scores of `examples`, one forward pass each, and the (id, message)
-    of each example that could not be scored."""
+    """Scores of `examples`, one forward pass each from row l_input - 1 on,
+    and the (id, message) of each example that could not be scored."""
     scores: list[TokenScores] = []
     errors: list[tuple[str, str]] = []
     for ex in examples:
         try:
-            trace = forward(params, ex.tokens)
+            trace = forward(params, ex.tokens, ex.l_input - 1)
             s_ri = _ri_from_trace(trace, ex.l_input, len(ex.output_ids), ri_agg)
             pcp, s_kn = _kn_from_trace(trace, ex)
             s_tr = score_tr(domain, ex)
@@ -196,7 +196,9 @@ def score_dataset(
     domain_source: str = "all_tokens",
     distance_metric: str = "euclidean",
 ) -> ScoreResult:
-    """All three scores for every example, one forward pass per example.
+    """All three scores for every example, from one forward pass each whose
+    last block runs only from row l_input - 1 on, where the scores read;
+    they equal the full pass's up to rounding.
 
     Invalid examples are skipped (collected with ids) rather than aborting
     the run; the domain vector is built over the valid subset. The frozen

@@ -421,6 +421,36 @@ def test_cli_rejects_an_oversized_model_under_a_memory_limit(tmp_path):
     assert not out.exists()
 
 
+def test_cli_reports_running_out_of_memory_in_one_line(tmp_path, monkeypatch, capsys):
+    # ~12.8M weights pass the config's ceiling, but with Adam's moments, the
+    # gradients and the share worker's buffers they outgrow 768 MiB, which
+    # still leaves room for the interpreter and numpy to start
+    import resource
+
+    data, cfg, out = tmp_path / "data.jsonl", tmp_path / "run.cfg", tmp_path / "model.ckpt"
+    assert _run(["gen-synth", "--size", "20", "--seed", "0", "--out", str(data)]) == 0
+    cfg.write_text("d_model = 1024\nn_layers = 1\nd_ff = 4096\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    limit = 768 << 20
+    proc = subprocess.run(
+        [sys.executable, "-m", "xtf.cli", "train", "--data", str(data), "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1 and proc.stdout == "", proc.stderr
+    assert not out.exists()
+
+    # a MemoryError without a message names its class
+    def no_memory(path):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli.D, "load_dataset", no_memory)
+    capsys.readouterr()
+    assert _run(["train", "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n" and not out.exists()
+
+
 def test_cli_run_experiment_checks_config_before_any_work(tmp_path, monkeypatch, capsys):
     data = tmp_path / "data.jsonl"
     assert _run(["gen-synth", "--task", "copy", "--size", "12", "--seed", "1", "--out", str(data)]) == 0

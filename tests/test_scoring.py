@@ -8,9 +8,10 @@ import pytest
 
 from conftest import TINY, _children, randomize_params
 from xtf import scoring
-from xtf.data import TokenizedExample
-from xtf.model import InputError, init, forward
-from xtf.numerics import balanced_cuts, one_blas_thread, softmax_value
+from xtf.data import TokenizedExample, gen_synth, tokenize
+from xtf.model import InputError, ModelConfig, init, forward
+from xtf.numerics import ContractError, balanced_cuts, one_blas_thread, softmax_value
+from xtf.training import TrainConfig, prepare_base
 from xtf.scoring import (
     DISTANCE_METRICS,
     DOMAIN_SOURCES,
@@ -83,15 +84,19 @@ def _ri_by_mean(attention, l_input, n_out, agg):
 
 
 def test_ri_pooling_is_bitwise_the_mean_formula():
+    # a trace of query rows `first` on holds the same values in the same
+    # order as the full one, so it pools bitwise alike
     rng = np.random.default_rng(12)
     for _ in range(120):
         n_layers, n_heads, seq = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(2, 120))
         attention = softmax_value(rng.normal(scale=3.0, size=(n_layers, n_heads, seq, seq)))
         l_input = int(rng.integers(1, seq))
-        trace = SimpleNamespace(attention=attention)
-        for agg in RI_AGGS:
-            got = _ri_from_trace(trace, l_input, seq - l_input, agg)
-            assert got.tobytes() == _ri_by_mean(attention, l_input, seq - l_input, agg).tobytes(), (seq, agg)
+        for first in {0, l_input - 1, int(rng.integers(0, l_input + 1))}:
+            trace = SimpleNamespace(attention=attention[:, :, first:], first=first)
+            for agg in RI_AGGS:
+                got = _ri_from_trace(trace, l_input, seq - l_input, agg)
+                want = _ri_by_mean(attention, l_input, seq - l_input, agg)
+                assert got.tobytes() == want.tobytes(), (seq, first, agg)
 
 
 def test_score_kn_uniform_logits():
@@ -118,6 +123,68 @@ def test_score_kn_matches_manual_softmax(tiny_generic_params):
     for k, tok in enumerate(ex.output_ids):
         row = softmax_value(trace.logits[ex.l_input + k - 1])
         assert pcp[k] == pytest.approx(row[tok], abs=1e-15)
+
+
+def test_forward_from_a_row_holds_those_rows_of_the_full_pass(tiny_generic_params):
+    tokens = [1, 2, 3, 4, 5, 6, 7]
+    full = forward(tiny_generic_params, tokens)
+    assert full.first == 0
+    for first in range(1, len(tokens)):
+        trace = forward(tiny_generic_params, tokens, first)
+        n = len(tokens) - first
+        assert trace.first == first and trace.logits.shape == (n, TINY.vocab_size)
+        assert trace.attention.shape == (TINY.n_layers, TINY.n_heads, n, len(tokens))
+        # the layers before the last run every row, as the full pass does
+        assert trace.attention[:-1].tobytes() == full.attention[:-1, :, first:].tobytes()
+        np.testing.assert_allclose(trace.attention[-1], full.attention[-1, :, first:], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace.logits, full.logits[first:], rtol=0, atol=1e-12)
+    for first in (-1, len(tokens), len(tokens) + 3):
+        with pytest.raises(ContractError, match="first"):
+            forward(tiny_generic_params, tokens, first)
+
+
+def _edge_examples(config, rng):
+    """An input of one token (the full pass itself), a single label token, a
+    sequence of exactly max_seq tokens, and a label that is most of one."""
+    ids = lambda n: rng.integers(0, config.vocab_size, n).tolist()
+    return [
+        _example(ids(1), ids(4), "one-token-input"),
+        _example(ids(5), ids(1), "one-label-token"),
+        _example(ids(4), ids(config.max_seq - 4), "max-seq"),
+        _example(ids(2), ids(config.max_seq - 5), "mostly-label"),
+    ]
+
+
+@pytest.fixture(scope="module")
+def trained_corpus():
+    config = ModelConfig(d_model=16, d_ff=32, seed=3)
+    params = prepare_base(config, TrainConfig(batch_size=16), 4, 4, task_size=60, background_size=10)
+    dataset = [tokenize(r) for r in gen_synth("addition", 40, 0.5, 5)]
+    return params, dataset + _edge_examples(config, np.random.default_rng(6))
+
+
+@pytest.mark.parametrize("agg", RI_AGGS)
+@pytest.mark.parametrize("trained", [False, True], ids=["random", "trained"])
+def test_label_row_scores_equal_the_full_pass(agg, trained, trained_corpus):
+    """Scoring runs the last block from row l_input - 1 on; its s_ri, s_kn
+    and pcp match pooling over a full forward pass within 1e-12 absolute,
+    the bench oracle's tolerance, and bitwise when l_input is 1."""
+    if trained:
+        params, dataset = trained_corpus
+    else:
+        params = randomize_params(init(TINY), seed=21)
+        dataset = _random_dataset(22, n=40) + _edge_examples(TINY, np.random.default_rng(23))
+    domain = compute_domain_vector(params, dataset)
+    scores, errors = scoring._score_slice(params, dataset, domain, agg)
+    assert errors == [] and len(scores) == len(dataset)
+    for ex, got in zip(dataset, scores):
+        trace, n_out = forward(params, ex.tokens), len(ex.output_ids)
+        pcp = softmax_value(trace.logits, axis=-1)[ex.l_input - 1 + np.arange(n_out), ex.output_ids]
+        want = (_ri_by_mean(trace.attention, ex.l_input, n_out, agg), pcp, 1.0 - pcp)
+        for key, value in zip(("s_ri", "pcp", "s_kn"), want):
+            if ex.l_input == 1:
+                assert getattr(got, key).tobytes() == value.tobytes(), (ex.id, key)
+            np.testing.assert_allclose(getattr(got, key), value, rtol=0, atol=1e-12, err_msg=f"{ex.id} {key}")
 
 
 def test_domain_vector_single_token_dataset(tiny_params):
@@ -348,7 +415,7 @@ def _serial_scores(params, dataset, ri_agg="mean", domain_source="all_tokens", d
     with one_blas_thread():
         for ex in valid:
             try:
-                trace = forward(params, ex.tokens)
+                trace = forward(params, ex.tokens, ex.l_input - 1)
                 s_ri = _ri_from_trace(trace, ex.l_input, len(ex.output_ids), ri_agg)
                 pcp, s_kn = _kn_from_trace(trace, ex)
                 s_tr = scoring.score_tr(domain, ex)
@@ -506,11 +573,11 @@ def test_split_scoring_reraises_an_error_and_leaves_no_process(side, three_cores
     parent_pid = os.getpid()
     plain_forward = scoring.forward
 
-    def failing_forward(params, tokens):
+    def failing_forward(params, tokens, first):
         in_helper = os.getpid() != parent_pid
         if side == "both" or in_helper == (side == "helper"):
             raise RuntimeError("in the helper" if in_helper else "in the parent")
-        return plain_forward(params, tokens)
+        return plain_forward(params, tokens, first)
 
     monkeypatch.setattr(scoring, "forward", failing_forward)
     params = randomize_params(init(TINY), seed=9)
@@ -524,10 +591,10 @@ def test_a_helper_that_dies_makes_scoring_raise(three_cores, monkeypatch):
     parent_pid = os.getpid()
     plain_forward = scoring.forward
 
-    def dying_forward(params, tokens):
+    def dying_forward(params, tokens, first):
         if os.getpid() != parent_pid:
             os._exit(3)
-        return plain_forward(params, tokens)
+        return plain_forward(params, tokens, first)
 
     monkeypatch.setattr(scoring, "forward", dying_forward)
     with pytest.raises(ChildProcessError, match="code 3"):
