@@ -4,9 +4,10 @@ Works over explicit finite populations of score vectors: a core component
 and a noise component mixed with weight eps, and a selector that drops core
 mass at rate alpha and keeps noise mass at rate beta. Every identity and
 bound is evaluated two ways: closed form versus direct computation from the
-mixture gradients, under an arbitrary SPD preconditioner (identity or a
-damped second-moment "Fisher" matrix) that callers pass factored once, as a
-Geometry.
+mixture gradients, under an SPD preconditioner (identity or a damped
+second-moment "Fisher" matrix) passed as a Geometry: a finite matrix, solved
+against with no LAPACK call when it is the identity, and in one LAPACK call
+per (k, d) stack of right-hand sides, each row bitwise the vector solve.
 """
 
 from __future__ import annotations
@@ -43,16 +44,26 @@ class Geometry:
         M = np.asarray(M, dtype=np.float64)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise GeometryError(f"preconditioner must be square, got {M.shape}")
-        if not np.allclose(M, M.T, atol=1e-10):
-            raise GeometryError("preconditioner must be symmetric")
-        try:
-            np.linalg.cholesky(M)  # the SPD check
-        except np.linalg.LinAlgError as exc:
-            raise GeometryError(f"preconditioner is not positive definite: {exc}") from exc
         self.M = M
+        self.identity = np.array_equal(M, np.eye(len(M)))  # exact, so it needs no SPD check
+        if not self.identity:
+            if not np.isfinite(M).all():
+                raise GeometryError("preconditioner must be finite")
+            if not (np.array_equal(M, M.T) or np.allclose(M, M.T, atol=1e-10)):
+                raise GeometryError("preconditioner must be symmetric")
+            try:
+                np.linalg.cholesky(M)  # the SPD check
+            except np.linalg.LinAlgError as exc:
+                raise GeometryError(f"preconditioner is not positive definite: {exc}") from exc
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.M, b)  # an explicit inverse raised the checks' violations to ~1e-13
+        b = np.array(b, dtype=np.float64)
+        if self.identity:  # bitwise np.linalg.solve(I, b) but for the sign of a zero
+            return b
+        if b.ndim == 1:  # an explicit inverse raised the checks' violations to ~1e-13
+            return np.linalg.solve(self.M, b)
+        # a (k, d) stack in one LAPACK call, each row bitwise the vector solve (solve(M, b.T) is not)
+        return np.linalg.solve(np.broadcast_to(self.M, (len(b), *self.M.shape)), b[..., None])[..., 0]
 
     def inner(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(x @ self.solve(y))
@@ -73,6 +84,8 @@ def damped_fisher(phis: np.ndarray, weights: np.ndarray, lam: float) -> np.ndarr
         raise ValueError("need a non-empty (n, d) score population")
     F = (phis * weights[:, None]).T @ phis + lam * np.eye(phis.shape[1])
     F = (F + F.T) / 2.0
+    if not np.isfinite(F).all():
+        raise ValueError("damped second moment is not finite: the scores or weights hold NaN or inf")
     eigs = np.linalg.eigvalsh(F)
     if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
         raise SingularityError(
@@ -191,15 +204,14 @@ def mixture_gradients(spec: MixtureSpec, geo: Geometry | None = None) -> Mixture
     return MixtureGradients(g_core, g_noise, g_train, g_fil, z_fil)
 
 
-def _strong_terms(spec: MixtureSpec, geo: Geometry) -> tuple[MixtureGradients, float, float]:
-    """Strong-mode gradients, ||g_core||^2 and <g_core, g_noise>, in geo's metric."""
-    grads = mixture_gradients(spec)
-    return grads, geo.norm_sq(grads.g_core), geo.inner(grads.g_core, grads.g_noise)
-
-
-def _direct_gain(geo: Geometry, g_core: np.ndarray, grads: MixtureGradients) -> float:
-    """<g_core, g_fil> - <g_core, g_train> in geo's metric."""
-    return geo.inner(g_core, grads.g_fil) - geo.inner(g_core, grads.g_train)
+def _strong_terms(spec: MixtureSpec, geo: Geometry, grads: MixtureGradients | None = None):
+    """Strong-mode gradients, ||g_core||^2, <g_core, g_noise> and <g_core, g_fil> - <g_core, g_train>
+    (of `grads`, strong mode by default) in geo's metric, from one stacked solve."""
+    strong = mixture_gradients(spec)
+    grads = grads or strong
+    rhs = np.stack([strong.g_core, strong.g_noise, grads.g_fil, grads.g_train])
+    core_sq, cross, align_fil, align_train = (float(strong.g_core @ x) for x in geo.solve(rhs))
+    return strong, core_sq, cross, align_fil - align_train
 
 
 def _zeta(core_sq: float, cross: float) -> float:
@@ -210,21 +222,20 @@ def _zeta(core_sq: float, cross: float) -> float:
 
 def alignment_gain_exact(spec: MixtureSpec, geo: Geometry) -> dict:
     """Closed-form alignment gain versus the direct difference of alignments."""
-    grads, core_sq, cross = _strong_terms(spec, geo)
+    grads, core_sq, cross, gain = _strong_terms(spec, geo)
     formula = (1.0 - spec.eps) * spec.eps * spec.selector_skill / grads.z_fil * (core_sq - cross)
-    return {"gain_formula": formula, "gain_direct": _direct_gain(geo, grads.g_core, grads)}
+    return {"gain_formula": formula, "gain_direct": gain}
 
 
 def coherence(spec: MixtureSpec, geo: Geometry) -> float:
     """zeta estimate: <g_core, g_noise> / ||g_core||^2 in geo's metric."""
-    _, core_sq, cross = _strong_terms(spec, geo)
+    _, core_sq, cross, _ = _strong_terms(spec, geo)
     return _zeta(core_sq, cross)
 
 
 def alignment_gain_lower_bound(spec: MixtureSpec, geo: Geometry) -> dict:
     """Strong-selector lower bound with zeta set to its estimate (tight)."""
-    grads, core_sq, cross = _strong_terms(spec, geo)
-    gain = _direct_gain(geo, grads.g_core, grads)
+    grads, core_sq, cross, gain = _strong_terms(spec, geo)
     zeta = _zeta(core_sq, cross)
     bound = (1.0 - spec.eps) * spec.eps * spec.selector_skill * (1.0 - zeta) / grads.z_fil * core_sq
     return {"bound": bound, "gain_direct": gain, "zeta": zeta, "holds": gain >= bound - 1e-12}
@@ -233,13 +244,11 @@ def alignment_gain_lower_bound(spec: MixtureSpec, geo: Geometry) -> dict:
 def weak_bias_gain_bound(spec: MixtureSpec, geo: Geometry) -> dict:
     """Bias-robust lower bound; positive whenever the selection-bias term is
     dominated by the strong-selector gain."""
-    strong, core_sq, cross = _strong_terms(spec, geo)
-    weak = mixture_gradients(spec, geo)
+    strong, core_sq, cross, gain_direct = _strong_terms(spec, geo, mixture_gradients(spec, geo))
     a, b = 1.0 - spec.eps, spec.eps
     gain_term = a * b * spec.selector_skill * (1.0 - _zeta(core_sq, cross))
     bias_term = a * (1.0 - spec.alpha) * spec.rho_c + b * spec.beta * spec.rho_n
     lower_bound = (gain_term - bias_term) / strong.z_fil * core_sq
-    gain_direct = _direct_gain(geo, strong.g_core, weak)
     return {
         "lower_bound": lower_bound,
         "gain_direct": gain_direct,
@@ -262,10 +271,7 @@ class OneStepScenario:
     theta: np.ndarray
     theta_star: np.ndarray
     radius: float
-
-    @property
-    def smoothness(self) -> float:
-        return float(np.linalg.eigvalsh(self.H)[-1])
+    smoothness: float  # lambda_max(H)
 
     def loss(self, theta: np.ndarray) -> float:
         d = theta - self.theta_star
@@ -279,7 +285,7 @@ def make_one_step_scenario(seed: int, spec: MixtureSpec, radius: float = 1e6) ->
     theta = rng.normal(size=spec.dim)
     g_core = mixture_gradients(spec).g_core
     theta_star = theta + np.linalg.solve(H, g_core)
-    return OneStepScenario(H, theta, theta_star, radius)
+    return OneStepScenario(H, theta, theta_star, radius, float(np.linalg.eigvalsh(H)[-1]))
 
 
 def one_step_compare(scenario: OneStepScenario, spec: MixtureSpec, geo: Geometry, eta: float) -> dict:
@@ -291,8 +297,8 @@ def one_step_compare(scenario: OneStepScenario, spec: MixtureSpec, geo: Geometry
     whose zero crossing gives the small-step threshold eta_max.
     """
     grads = mixture_gradients(spec)
-    step_fil = -geo.solve(grads.g_fil)
-    step_train = -geo.solve(grads.g_train)
+    solved = geo.solve(np.stack([grads.g_fil, grads.g_train]))
+    step_fil, step_train = -solved
     n_fil = float(step_fil @ step_fil)
     n_train = float(step_train @ step_train)
     max_norm = max(np.sqrt(n_fil), np.sqrt(n_train))
@@ -301,8 +307,7 @@ def one_step_compare(scenario: OneStepScenario, spec: MixtureSpec, geo: Geometry
             f"step {eta * max_norm:.3e} exceeds the local radius {scenario.radius:.3e}"
         )
     L = scenario.smoothness
-    align_fil = geo.inner(grads.g_core, grads.g_fil)
-    align_train = geo.inner(grads.g_core, grads.g_train)
+    align_fil, align_train = (float(grads.g_core @ x) for x in solved)
     gain = align_fil - align_train
     eta_max = min(
         2.0 * gain / (L * (n_fil + n_train)) if gain > 0 else 0.0,
@@ -397,10 +402,9 @@ def kn_bounds_check(scenario: KNBoundScenario) -> dict:
 
     euclid_viol = 0.0
     fisher_viol = 0.0
-    for i in range(phis.shape[0]):
-        slack = 1.0 - probs[i]
-        euclid_viol = max(euclid_viol, float(np.linalg.norm(phis[i])) - 2.0 * lz * slack)
-        fisher_viol = max(fisher_viol, np.sqrt(geo.norm_sq(phis[i])) - factor * slack)
+    for phi, x, p in zip(phis, geo.solve(phis), probs):
+        euclid_viol = max(euclid_viol, float(np.linalg.norm(phi)) - 2.0 * lz * (1.0 - p))
+        fisher_viol = max(fisher_viol, np.sqrt(float(phi @ x)) - factor * (1.0 - p))
 
     kn_set = probs >= 1.0 - scenario.delta
     mass = float(scenario.weights[kn_set].sum())
@@ -418,12 +422,14 @@ def kn_bounds_check(scenario: KNBoundScenario) -> dict:
         result["alignment_impact_ok"] = True
         return result
     contribution = (scenario.weights[kn_set, None] * phis[kn_set]).sum(axis=0)
-    contribution_norm = np.sqrt(geo.norm_sq(contribution))
-    contribution_bound = factor * scenario.delta * mass
     g_train = (scenario.weights[:, None] * phis).sum(axis=0)
     g_rest = (scenario.weights[~kn_set, None] * phis[~kn_set]).sum(axis=0)
-    impact = abs(geo.inner(g_train, g_train) - geo.inner(g_train, g_rest))
-    impact_bound = contribution_bound * np.sqrt(geo.norm_sq(g_train))
+    x_contribution, x_train, x_rest = geo.solve(np.stack([contribution, g_train, g_rest]))
+    contribution_norm = np.sqrt(float(contribution @ x_contribution))
+    contribution_bound = factor * scenario.delta * mass
+    train_sq = float(g_train @ x_train)
+    impact = abs(train_sq - float(g_train @ x_rest))
+    impact_bound = contribution_bound * np.sqrt(train_sq)
     result.update(
         {
             "contribution_norm": contribution_norm,
@@ -519,8 +525,7 @@ def verify_theory(seed: int = 0) -> dict:
     violations = 0
     for spec in mixtures("sign", 100):
         for geo in _preconditioners(spec):
-            grads, core_sq, cross = _strong_terms(spec, geo)
-            gain = _direct_gain(geo, grads.g_core, grads)
+            _, core_sq, cross, gain = _strong_terms(spec, geo)
             rhs = spec.selector_skill * (core_sq - cross)
             if abs(rhs) > 1e-9 and np.sign(gain) != np.sign(rhs):
                 violations += 1
@@ -543,10 +548,7 @@ def verify_theory(seed: int = 0) -> dict:
     add("weak_bias_gain_bound", 100, worst, worst <= 1e-9)
 
     # one-step comparison on random quadratics
-    worst = 0.0
-    ordering_bad = 0
-    checked = 0
-    i = 0
+    worst, ordering_bad, checked, i = 0.0, 0, 0, 0
     while checked < 50:
         spec = random_mixture(subseed(seed, f"os-{i}"))
         i += 1

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from xtf import theory
 from xtf.data import subseed
 from xtf.theory import (
     DegenerateSelectorError,
@@ -14,6 +17,7 @@ from xtf.theory import (
     alignment_gain_lower_bound,
     coherence,
     damped_fisher,
+    FISHER_DAMPING,
     fisher_preconditioner,
     gain_sweep_rows,
     kn_bounds_check,
@@ -76,6 +80,19 @@ def test_damped_fisher_rank_deficient_without_damping():
         damped_fisher(phi, np.ones(1), lam=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_damped_fisher_rejects_non_finite_population(bad):
+    phis = np.eye(3)
+    phis[1, 2] = bad
+    weights = np.full(3, 1 / 3)
+    weights[0] = bad
+    with np.errstate(invalid="ignore"):  # inf * 0 in the second moment
+        with pytest.raises(ValueError, match="not finite"):
+            damped_fisher(phis, np.full(3, 1 / 3), lam=FISHER_DAMPING)
+        with pytest.raises(ValueError, match="not finite"):
+            damped_fisher(np.eye(3), weights, lam=FISHER_DAMPING)
+
+
 def test_fisher_preconditioner_spd():
     spec = _spec()
     F = fisher_preconditioner(spec)
@@ -122,6 +139,95 @@ def test_alignment_rejects_non_spd():
         Geometry(-np.eye(3))
     with pytest.raises(GeometryError):
         Geometry(np.arange(9.0).reshape(3, 3))
+
+
+@pytest.mark.parametrize("M", [[[np.inf, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, np.nan]], [[1.0, -np.inf], [-np.inf, 1.0]]])
+def test_geometry_rejects_non_finite_matrices(M):
+    with pytest.raises(GeometryError, match="must be finite"):
+        Geometry(np.array(M))
+
+
+def _random_spd(rng, d):
+    A = rng.normal(size=(d, d))
+    return A @ A.T + 0.1 * np.eye(d)
+
+
+def test_stacked_solve_is_bitwise_the_vector_solves():
+    rng = np.random.default_rng(5)
+    for d in range(3, 11):
+        for M in (fisher_preconditioner(random_mixture(d, dim=d)), _random_spd(rng, d)):
+            geo = Geometry(M)
+            for k in range(1, 26):
+                B = rng.normal(size=(k, d))
+                want = np.stack([np.linalg.solve(M, b) for b in B])
+                assert geo.solve(B).tobytes() == want.tobytes()
+                assert geo.solve(B[0]).tobytes() == want[0].tobytes()
+
+
+def test_identity_solve_is_the_lapack_solve():
+    """Bitwise on nonzero entries, subnormals included. A zero keeps b's sign,
+    which is the exact answer; LAPACK's substitution turns -0.0 into +0.0
+    when it subtracts a -0.0 product from it, so there the two are equal by
+    value only."""
+    rng = np.random.default_rng(6)
+    for d in range(1, 12):
+        geo = Geometry(np.eye(d))
+        for _ in range(200):
+            b = rng.normal(size=d) * rng.choice([1.0, 1e300, 1e-310, 1e-320], size=d)
+            b[b == 0.0] = 5e-324
+            want = np.linalg.solve(np.eye(d), b)
+            assert geo.solve(b).tobytes() == want.tobytes() == b.tobytes()
+            assert geo.solve(np.stack([b, -b])).tobytes() == np.stack([want, -want]).tobytes()
+            z = b * rng.choice([1.0, 0.0], size=d) * rng.choice([1.0, -1.0], size=d)
+            got, want = geo.solve(z), np.linalg.solve(np.eye(d), z)
+            assert got.tobytes() == z.tobytes() and np.array_equal(got, want)
+            assert (got.view(np.int64) == want.view(np.int64))[z != 0.0].all()
+    assert geo.solve(np.array([-1.0, -0.0])).tobytes() == np.array([-1.0, -0.0]).tobytes()
+    assert np.linalg.solve(np.eye(2), np.array([-1.0, -0.0])).tobytes() == np.array([-1.0, 0.0]).tobytes()
+
+
+def test_identity_geometry_makes_no_lapack_call(monkeypatch):
+    calls = []
+    for name in ("solve", "cholesky"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    rng = np.random.default_rng(7)
+    geo = Geometry(np.eye(5))
+    geo.solve(rng.normal(size=5))
+    geo.solve(rng.normal(size=(7, 5)))
+    geo.inner(rng.normal(size=5), rng.normal(size=5))
+    geo.norm_sq(rng.normal(size=5))
+    assert calls == []
+    Geometry(2.0 * np.eye(5)).solve(np.ones(5))  # the wrapper does see LAPACK calls
+    assert calls == ["cholesky", "solve"]
+
+
+class _VectorGeometry:
+    """Geometry without the fast paths: every right-hand side, against the
+    identity too, gets its own np.linalg.solve."""
+
+    def __init__(self, M):
+        self.M = np.asarray(M, dtype=np.float64)
+        np.linalg.cholesky(self.M)
+
+    def solve(self, b):
+        b = np.asarray(b, dtype=np.float64)
+        if b.ndim == 1:
+            return np.linalg.solve(self.M, b)
+        return np.stack([np.linalg.solve(self.M, row) for row in b])
+
+    def inner(self, x, y):
+        return float(x @ self.solve(y))
+
+    def norm_sq(self, x):
+        return self.inner(x, x)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_reports_are_byte_equal_to_vector_by_vector_solves(monkeypatch, seed):
+    fast = json.dumps([verify_theory(seed), gain_sweep_rows(seed, 5)])
+    monkeypatch.setattr(theory, "Geometry", _VectorGeometry)
+    assert json.dumps([verify_theory(seed), gain_sweep_rows(seed, 5)]) == fast
 
 
 # ---------------------------------------------------------------------------
