@@ -5,20 +5,23 @@ and a noise component mixed with weight eps, and a selector that drops core
 mass at rate alpha and keeps noise mass at rate beta. Every identity and
 bound is evaluated two ways: closed form versus direct computation from the
 mixture gradients, under an SPD preconditioner (identity or a damped
-second-moment "Fisher" matrix) passed as a Geometry: a finite matrix, solved
-against with no LAPACK call when it is the identity, and in one LAPACK call
-per (k, d) stack of right-hand sides, each row bitwise the vector solve.
+second-moment "Fisher" matrix) passed as a Geometry. A Geometry solves a
+(k, d) stack in one LAPACK call and the identity with none; the KN checks
+stack every context's softmax and products. Each stack's rows are bitwise
+the per-vector calls. With a second core, verify_theory runs its one-step
+and KN batches in a forked helper; with one, no process starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache, cached_property
 from itertools import count, islice
 
 import numpy as np
 
 from .data import subseed
-from .numerics import softmax_value
+from .numerics import Fork, available_cores, softmax_value
 
 
 class GeometryError(ValueError):
@@ -60,10 +63,8 @@ class Geometry:
         b = np.array(b, dtype=np.float64)
         if self.identity:  # bitwise np.linalg.solve(I, b) but for the sign of a zero
             return b
-        if b.ndim == 1:  # an explicit inverse raised the checks' violations to ~1e-13
-            return np.linalg.solve(self.M, b)
-        # a (k, d) stack in one LAPACK call, each row bitwise the vector solve (solve(M, b.T) is not)
-        return np.linalg.solve(np.broadcast_to(self.M, (len(b), *self.M.shape)), b[..., None])[..., 0]
+        # solve(M, b.T) is not bitwise the vector solves; an inverse raised violations to ~1e-13
+        return np.linalg.solve(self.M, b[..., None])[..., 0]
 
     def inner(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(x @ self.solve(y))
@@ -127,6 +128,11 @@ class MixtureSpec:
     @property
     def selector_skill(self) -> float:
         return 1.0 - self.alpha - self.beta
+
+    @cached_property
+    def strong(self) -> MixtureGradients:
+        """Strong-mode gradients, computed on first use (`replace` makes a new spec)."""
+        return mixture_gradients(self)
 
 
 def fisher_preconditioner(spec: MixtureSpec) -> np.ndarray:
@@ -207,7 +213,7 @@ def mixture_gradients(spec: MixtureSpec, geo: Geometry | None = None) -> Mixture
 def _strong_terms(spec: MixtureSpec, geo: Geometry, grads: MixtureGradients | None = None):
     """Strong-mode gradients, ||g_core||^2, <g_core, g_noise> and <g_core, g_fil> - <g_core, g_train>
     (of `grads`, strong mode by default) in geo's metric, from one stacked solve."""
-    strong = mixture_gradients(spec)
+    strong = spec.strong
     grads = grads or strong
     rhs = np.stack([strong.g_core, strong.g_noise, grads.g_fil, grads.g_train])
     core_sq, cross, align_fil, align_train = (float(strong.g_core @ x) for x in geo.solve(rhs))
@@ -283,8 +289,7 @@ def make_one_step_scenario(seed: int, spec: MixtureSpec, radius: float = 1e6) ->
     A = rng.normal(size=(spec.dim, spec.dim))
     H = A.T @ A / spec.dim + 0.5 * np.eye(spec.dim)
     theta = rng.normal(size=spec.dim)
-    g_core = mixture_gradients(spec).g_core
-    theta_star = theta + np.linalg.solve(H, g_core)
+    theta_star = theta + np.linalg.solve(H, spec.strong.g_core)
     return OneStepScenario(H, theta, theta_star, radius, float(np.linalg.eigvalsh(H)[-1]))
 
 
@@ -296,7 +301,7 @@ def one_step_compare(scenario: OneStepScenario, spec: MixtureSpec, geo: Geometry
         -eta * gain + (L/2) * eta^2 * (||step_fil||^2 + ||step_train||^2),
     whose zero crossing gives the small-step threshold eta_max.
     """
-    grads = mixture_gradients(spec)
+    grads = spec.strong
     solved = geo.solve(np.stack([grads.g_fil, grads.g_train]))
     step_fil, step_train = -solved
     n_fil = float(step_fil @ step_fil)
@@ -359,18 +364,14 @@ class KNBoundScenario:
 
 
 def kn_scores(scenario: KNBoundScenario) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair score vectors phi = W^T (e_t - p) and probabilities p_t."""
-    n, d = scenario.contexts.shape
-    phis = np.empty((n, d))
-    probs = np.empty(n)
-    for i in range(n):
-        p = softmax_value(scenario.W @ scenario.contexts[i])
-        t = scenario.tokens[i]
-        e = np.zeros(scenario.W.shape[0])
-        e[t] = 1.0
-        phis[i] = scenario.W.T @ (e - p)
-        probs[i] = p[t]
-    return phis, probs
+    """Per-pair score vectors phi = W^T (e_t - p) and probabilities p_t, for
+    all pairs at once: each row of a stacked matrix-vector product, and of a
+    softmax over rows, is bitwise the per-pair call."""
+    p = softmax_value((scenario.W @ scenario.contexts[..., None])[..., 0])
+    pairs = np.arange(len(p)), scenario.tokens
+    e = np.zeros_like(p)
+    e[pairs] = 1.0
+    return (scenario.W.T @ (e - p)[..., None])[..., 0], p[pairs]
 
 
 def kn_fisher(scenario: KNBoundScenario) -> np.ndarray:
@@ -378,12 +379,12 @@ def kn_fisher(scenario: KNBoundScenario) -> np.ndarray:
     sum over all tokens weighted by the model's own probabilities."""
     d = scenario.contexts.shape[1]
     F = np.zeros((d, d))
-    for i in range(scenario.contexts.shape[0]):
-        p = softmax_value(scenario.W @ scenario.contexts[i])
+    eye = np.eye(scenario.W.shape[0])
+    probs = softmax_value((scenario.W @ scenario.contexts[..., None])[..., 0])  # as in kn_scores
+    for weight, p in zip(scenario.weights, probs):
         # phi for token k is W^T (e_k - p); accumulate sum_k p_k phi_k phi_k^T
-        diffs = np.eye(scenario.W.shape[0]) - p[None, :]
-        phis_c = diffs @ scenario.W  # row k = phi_k^T
-        F += scenario.weights[i] * (phis_c * p[:, None]).T @ phis_c
+        phis_c = (eye - p[None, :]) @ scenario.W  # row k = phi_k^T
+        F += weight * (phis_c * p[:, None]).T @ phis_c
     F += FISHER_DAMPING * np.eye(d)
     return (F + F.T) / 2.0
 
@@ -393,15 +394,13 @@ def kn_bounds_check(scenario: KNBoundScenario) -> dict:
     the high-confidence pair set."""
     phis, probs = kn_scores(scenario)
     F = kn_fisher(scenario)
-    eigs = np.linalg.eigvalsh(F)
-    mu = float(eigs[0])
+    mu = float(np.linalg.eigvalsh(F)[0])
     geo = Geometry(F)
     lz = scenario.logit_lipschitz
     factor = 2.0 * lz / np.sqrt(mu)
     tol = 1e-9
 
-    euclid_viol = 0.0
-    fisher_viol = 0.0
+    euclid_viol = fisher_viol = 0.0
     for phi, x, p in zip(phis, geo.solve(phis), probs):
         euclid_viol = max(euclid_viol, float(np.linalg.norm(phi)) - 2.0 * lz * (1.0 - p))
         fisher_viol = max(fisher_viol, np.sqrt(float(phi @ x)) - factor * (1.0 - p))
@@ -450,27 +449,17 @@ def make_kn_scenario(seed: int, dim: int = 8, n_low: int = 14, n_high: int = 6, 
     W = rng.normal(size=(dim, dim))
     while abs(np.linalg.det(W)) < 1e-6:
         W = rng.normal(size=(dim, dim))
-    contexts = []
-    tokens = []
     target_p = 1.0 - delta / 2.0
     spike = np.log((dim - 1) * target_p / (1.0 - target_p))
-    for _ in range(n_high):
-        t = int(rng.integers(dim))
-        z = np.zeros(dim)
-        z[t] = spike
-        contexts.append(np.linalg.solve(W, z))
-        tokens.append(t)
+    tokens = [int(rng.integers(dim)) for _ in range(n_high)]
+    Z = np.zeros((n_high, dim))
+    Z[range(n_high), tokens] = spike
+    contexts = [*np.linalg.solve(W, Z[..., None])[..., 0]]  # one stack, rows bitwise the vector solves
     for _ in range(n_low):
         contexts.append(rng.normal(size=dim) * 0.3)
         tokens.append(int(rng.integers(dim)))
     n = n_high + n_low
-    return KNBoundScenario(
-        W=W,
-        contexts=np.array(contexts),
-        tokens=np.array(tokens),
-        weights=np.full(n, 1.0 / n),
-        delta=delta,
-    )
+    return KNBoundScenario(W, np.array(contexts), np.array(tokens), np.full(n, 1.0 / n), delta)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +467,13 @@ def make_kn_scenario(seed: int, dim: int = 8, n_low: int = 14, n_high: int = 6, 
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _identity(dim: int) -> Geometry:
+    return Geometry(np.eye(dim))
+
+
 def _preconditioners(spec: MixtureSpec) -> list[Geometry]:
-    return [Geometry(np.eye(spec.dim)), Geometry(fisher_preconditioner(spec))]
+    return [_identity(spec.dim), Geometry(fisher_preconditioner(spec))]
 
 
 def _worst(specs, check, violation) -> float:
@@ -491,15 +485,10 @@ def _worst(specs, check, violation) -> float:
     return worst
 
 
-def verify_theory(seed: int = 0) -> dict:
-    """Run every check batch; returns per-check instance counts, the largest
-    violation seen, and pass flags."""
-    checks: list[dict] = []
-
-    def add(name: str, instances: int, max_violation: float, ok: bool) -> None:
-        checks.append(
-            {"name": name, "instances": instances, "max_violation": max_violation, "pass": bool(ok)}
-        )
+def _alignment_checks(seed: int):
+    """verify_theory's first part: the exact identity, its edge cases, the
+    sign law and both lower bounds, as (name, instances, max_violation,
+    pass) rows."""
 
     def mixtures(tag: str, n: int, **kw):
         return (random_mixture(subseed(seed, f"{tag}-{i}"), **kw) for i in range(n))
@@ -507,19 +496,19 @@ def verify_theory(seed: int = 0) -> dict:
     # exact alignment-gain identity, both preconditioners
     gap = lambda r: abs(r["gain_formula"] - r["gain_direct"]) / (1.0 + abs(r["gain_direct"]))
     worst = _worst(mixtures("exact", 200), alignment_gain_exact, gap)
-    add("alignment_gain_exact_identity", 200, worst, worst <= 1e-9)
+    yield "alignment_gain_exact_identity", 200, worst, worst <= 1e-9
 
     # edge cases: no noise, and a skill-less selector
     magnitude = lambda r: max(abs(r["gain_formula"]), abs(r["gain_direct"]))
     worst = _worst(mixtures("edge-eps", 50, eps=0.0), alignment_gain_exact, magnitude)
-    add("edge_no_noise_zero_gain", 50, worst, worst <= 1e-12)
+    yield "edge_no_noise_zero_gain", 50, worst, worst <= 1e-12
     skill_less = []
     for i in range(50):
         rng = np.random.default_rng(subseed(seed, f"edge-ab-{i}"))
         alpha = float(rng.uniform(0.0, 1.0))
         skill_less.append(random_mixture(subseed(seed, f"edge-ab-{i}"), alpha=alpha, beta=1.0 - alpha))
     worst = _worst(skill_less, alignment_gain_exact, magnitude)
-    add("edge_random_selector_zero_gain", 50, worst, worst <= 1e-12)
+    yield "edge_random_selector_zero_gain", 50, worst, worst <= 1e-12
 
     # sign law
     violations = 0
@@ -529,14 +518,14 @@ def verify_theory(seed: int = 0) -> dict:
             rhs = spec.selector_skill * (core_sq - cross)
             if abs(rhs) > 1e-9 and np.sign(gain) != np.sign(rhs):
                 violations += 1
-    add("alignment_gain_sign_law", 100, float(violations), violations == 0)
+    yield "alignment_gain_sign_law", 100, float(violations), violations == 0
 
     # strong lower bound (zeta estimated, so it is tight)
     candidates = (random_mixture(subseed(seed, f"lb-{i}")) for i in count())
-    incoherent = (spec for spec in candidates if coherence(spec, Geometry(np.eye(spec.dim))) < 1.0)
+    incoherent = (spec for spec in candidates if coherence(spec, _identity(spec.dim)) < 1.0)
     slack = lambda r: r["bound"] - r["gain_direct"]
     worst = _worst(islice(incoherent, 100), alignment_gain_lower_bound, slack)
-    add("alignment_gain_lower_bound", 100, worst, worst <= 1e-12)
+    yield "alignment_gain_lower_bound", 100, worst, worst <= 1e-12
 
     # weak-bias robustness
     biased = []
@@ -545,33 +534,31 @@ def verify_theory(seed: int = 0) -> dict:
         rho_c, rho_n = float(rng.uniform(0.0, 0.3)), float(rng.uniform(0.0, 0.3))
         biased.append(random_mixture(subseed(seed, f"wb-{i}"), rho_c=rho_c, rho_n=rho_n))
     worst = _worst(biased, weak_bias_gain_bound, lambda r: r["lower_bound"] - r["gain_direct"])
-    add("weak_bias_gain_bound", 100, worst, worst <= 1e-9)
+    yield "weak_bias_gain_bound", 100, worst, worst <= 1e-9
 
+
+def _step_and_kn_checks(seed: int):
+    """verify_theory's second part: the one-step comparison and the KN bounds."""
     # one-step comparison on random quadratics
     worst, ordering_bad, checked, i = 0.0, 0, 0, 0
     while checked < 50:
         spec = random_mixture(subseed(seed, f"os-{i}"))
         i += 1
-        geos = _preconditioners(spec)
-        if coherence(spec, geos[0]) >= 1.0 or spec.selector_skill <= 0.0:
+        if coherence(spec, _identity(spec.dim)) >= 1.0 or spec.selector_skill <= 0.0:
             continue
         scenario = make_one_step_scenario(subseed(seed, f"os-scn-{i}"), spec)
-        for geo in geos:
+        for geo in _preconditioners(spec):
             probe = one_step_compare(scenario, spec, geo, eta=0.0)
             if probe["eta_max"] <= 0.0:
                 continue
             r = one_step_compare(scenario, spec, geo, eta=probe["eta_max"] / 2.0)
-            worst = max(
-                worst,
-                r["loss_fil"] - r["loss_train"] - r["bound_rhs"],
-                0.0 if r["descent_ok_fil"] else 1.0,
-                0.0 if r["descent_ok_train"] else 1.0,
-            )
+            descent_bad = not (r["descent_ok_fil"] and r["descent_ok_train"])
+            worst = max(worst, r["loss_fil"] - r["loss_train"] - r["bound_rhs"], float(descent_bad))
             if r["gain"] > 0 and r["loss_fil"] > r["loss_train"] + 1e-12:
                 ordering_bad += 1
         checked += 1
-    add("one_step_difference_bound", 50, worst, worst <= 1e-12)
-    add("one_step_filtered_not_worse", 50, float(ordering_bad), ordering_bad == 0)
+    yield "one_step_difference_bound", 50, worst, worst <= 1e-12
+    yield "one_step_filtered_not_worse", 50, float(ordering_bad), ordering_bad == 0
 
     # score-norm bound on many random toy draws
     worst = 0.0
@@ -585,25 +572,39 @@ def verify_theory(seed: int = 0) -> dict:
         phis, probs = kn_scores(scenario)
         bound = 2.0 * scenario.logit_lipschitz * (1.0 - probs[0])
         worst = max(worst, float(np.linalg.norm(phis[0])) - bound)
-    add("kn_euclidean_score_bound", 1000, worst, worst <= 1e-9)
+    yield "kn_euclidean_score_bound", 1000, worst, worst <= 1e-9
 
     # Fisher contribution and alignment-impact bounds across confidence levels
     worst = 0.0
-    n_scen = 0
-    for delta in (0.1, 0.05, 0.01):
-        for i in range(34 if delta != 0.01 else 32):
-            scenario = make_kn_scenario(subseed(seed, f"kn-{delta}-{i}"), delta=delta)
-            r = kn_bounds_check(scenario)
-            n_scen += 1
+    for delta, n_scenarios in ((0.1, 34), (0.05, 34), (0.01, 32)):
+        for i in range(n_scenarios):
+            r = kn_bounds_check(make_kn_scenario(subseed(seed, f"kn-{delta}-{i}"), delta=delta))
             worst = max(worst, r["euclid_violation"], r["fisher_violation"])
             if not r["vacuous"]:
-                worst = max(
-                    worst,
-                    r["contribution_norm"] - r["contribution_bound"],
-                    r["alignment_impact"] - r["alignment_impact_bound"],
-                )
-    add("kn_fisher_contribution_bounds", n_scen, worst, worst <= 1e-9)
+                impact_slack = r["alignment_impact"] - r["alignment_impact_bound"]
+                worst = max(worst, r["contribution_norm"] - r["contribution_bound"], impact_slack)
+    yield "kn_fisher_contribution_bounds", 100, worst, worst <= 1e-9
 
+
+def _run_part(conn, part, seed: int) -> list[tuple]:
+    """A part's rows, in a Fork helper (`conn` goes unused)."""
+    return list(part(seed))
+
+
+def verify_theory(seed: int = 0) -> dict:
+    """Run every check batch; returns per-check instance counts, the largest
+    violation seen, and pass flags.
+
+    With two available cores or more, a forked helper runs the one-step and
+    KN batches while this process runs the others, and no process outlives
+    the call. The report and any error are those of one loop over the
+    batches: this process's batches come first, so their errors win."""
+    if available_cores() < 2:
+        rows = [*_alignment_checks(seed), *_step_and_kn_checks(seed)]
+    else:
+        with Fork(_run_part, _step_and_kn_checks, seed) as helper:
+            rows = [*_alignment_checks(seed), *helper.recv()]
+    checks = [{"name": name, "instances": n, "max_violation": worst, "pass": bool(ok)} for name, n, worst, ok in rows]
     return {"seed": seed, "checks": checks, "all_pass": all(c["pass"] for c in checks)}
 
 
@@ -612,7 +613,7 @@ def gain_sweep_rows(seed: int = 0, n_per_axis: int = 5) -> list[dict]:
     rows = []
     base = random_mixture(subseed(seed, "sweep-base"))
     grid = np.linspace(0.05, 0.9, n_per_axis)
-    geo = Geometry(np.eye(base.dim))
+    geo = _identity(base.dim)
     for eps in grid:
         for alpha in np.linspace(0.0, 0.45, n_per_axis):
             for beta in np.linspace(0.0, 0.45, n_per_axis):

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,25 @@ def _children() -> list[str]:
     """Pids of this process's live children, seen by the kernel rather than
     by `multiprocessing`, so helpers it does not track count too."""
     return [pid for task in Path("/proc/self/task").iterdir() for pid in (task / "children").read_text().split()]
+
+
+fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the child by fork")
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two cores to share over, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """Fail any attempt to start a process."""
+
+    def refuse():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", refuse)
 
 
 @pytest.fixture

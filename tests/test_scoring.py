@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import TINY, _children, randomize_params
+from conftest import TINY, _children, fork_only, randomize_params
 from xtf import scoring
 from xtf.data import TokenizedExample, gen_synth, tokenize
 from xtf.model import InputError, ModelConfig, init, forward
@@ -454,17 +454,6 @@ def _random_dataset(seed, n=24):
 def three_cores(monkeypatch):
     """Three cores to split over, whatever this machine has: two helpers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-
-
-@pytest.fixture
-def no_fork(monkeypatch):
-    def refuse():
-        raise AssertionError("a process was started")
-
-    monkeypatch.setattr(os, "fork", refuse)
-
-
-fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the helpers by fork")
 
 
 def test_token_slices_balance_tokens_and_are_never_empty(monkeypatch):

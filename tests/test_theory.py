@@ -1,10 +1,14 @@
 import json
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import _children, fork_only
 from xtf import theory
 from xtf.data import subseed
+from xtf.numerics import softmax_value
 from xtf.theory import (
     DegenerateSelectorError,
     Geometry,
@@ -21,6 +25,7 @@ from xtf.theory import (
     fisher_preconditioner,
     gain_sweep_rows,
     kn_bounds_check,
+    kn_fisher,
     kn_scores,
     make_kn_scenario,
     make_one_step_scenario,
@@ -223,11 +228,28 @@ class _VectorGeometry:
         return self.inner(x, x)
 
 
-@pytest.mark.parametrize("seed", [0, 3, 11])
-def test_reports_are_byte_equal_to_vector_by_vector_solves(monkeypatch, seed):
+def _use_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+
+
+def _assert_byte_equal_to_vector_by_vector_solves(monkeypatch, seed):
     fast = json.dumps([verify_theory(seed), gain_sweep_rows(seed, 5)])
     monkeypatch.setattr(theory, "Geometry", _VectorGeometry)
+    monkeypatch.setattr(theory, "_identity", lambda dim: _VectorGeometry(np.eye(dim)))
     assert json.dumps([verify_theory(seed), gain_sweep_rows(seed, 5)]) == fast
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_reports_are_byte_equal_to_vector_by_vector_solves(monkeypatch, seed):
+    _use_cores(monkeypatch, {0})
+    _assert_byte_equal_to_vector_by_vector_solves(monkeypatch, seed)
+
+
+@fork_only
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_reports_are_byte_equal_to_vector_by_vector_solves_with_the_helper(monkeypatch, seed, two_cores):
+    _assert_byte_equal_to_vector_by_vector_solves(monkeypatch, seed)
+    assert _children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +281,22 @@ def test_mixture_degenerate_selector_rejected():
     spec = _spec(eps=0.5, alpha=1.0, beta=0.0)
     with pytest.raises(DegenerateSelectorError):
         mixture_gradients(spec)
+
+
+def test_strong_gradients_are_computed_once_per_spec(monkeypatch):
+    calls = []
+    real = theory.mixture_gradients
+    monkeypatch.setattr(theory, "mixture_gradients", lambda spec, geo=None: calls.append(geo) or real(spec, geo))
+    spec = _spec(seed=3)
+    for geo in _both_preconditioners(spec):
+        alignment_gain_exact(spec, geo)
+        alignment_gain_lower_bound(spec, geo)
+        weak_bias_gain_bound(spec, geo)
+        one_step_compare(make_one_step_scenario(9, spec), spec, geo, eta=1e-3)
+    assert calls.count(None) == 1 and len(calls) == 3  # and one weak-mode call per metric
+    moved = replace(spec, eps=0.5)
+    assert moved.strong.g_train.tobytes() == real(moved).g_train.tobytes() != spec.strong.g_train.tobytes()
+    assert calls.count(None) == 2
 
 
 def test_weak_bias_norms_are_exact():
@@ -469,6 +507,79 @@ def test_kn_contribution_and_impact_bounds(delta):
         assert r["kn_mass"] > 0.0
 
 
+def _kn_scores_loop(scenario):
+    n, d = scenario.contexts.shape
+    phis, probs = np.empty((n, d)), np.empty(n)
+    for i in range(n):
+        p = softmax_value(scenario.W @ scenario.contexts[i])
+        t = scenario.tokens[i]
+        e = np.zeros(scenario.W.shape[0])
+        e[t] = 1.0
+        phis[i] = scenario.W.T @ (e - p)
+        probs[i] = p[t]
+    return phis, probs
+
+
+def _kn_fisher_loop(scenario):
+    d = scenario.contexts.shape[1]
+    F = np.zeros((d, d))
+    for i in range(scenario.contexts.shape[0]):
+        p = softmax_value(scenario.W @ scenario.contexts[i])
+        phis_c = (np.eye(scenario.W.shape[0]) - p[None, :]) @ scenario.W
+        F += scenario.weights[i] * (phis_c * p[:, None]).T @ phis_c
+    F += FISHER_DAMPING * np.eye(d)
+    return (F + F.T) / 2.0
+
+
+def _make_kn_scenario_loop(seed, dim, n_low, n_high, delta):
+    rng = np.random.default_rng(seed)
+    W = rng.normal(size=(dim, dim))
+    while abs(np.linalg.det(W)) < 1e-6:
+        W = rng.normal(size=(dim, dim))
+    contexts, tokens = [], []
+    target_p = 1.0 - delta / 2.0
+    spike = np.log((dim - 1) * target_p / (1.0 - target_p))
+    for _ in range(n_high):
+        t = int(rng.integers(dim))
+        z = np.zeros(dim)
+        z[t] = spike
+        contexts.append(np.linalg.solve(W, z))
+        tokens.append(t)
+    for _ in range(n_low):
+        contexts.append(rng.normal(size=dim) * 0.3)
+        tokens.append(int(rng.integers(dim)))
+    n = n_high + n_low
+    return KNBoundScenario(W, np.array(contexts), np.array(tokens), np.full(n, 1.0 / n), delta)
+
+
+def _bytes(*arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def test_kn_stacks_are_bitwise_the_per_context_loops():
+    rng = np.random.default_rng(23)
+    for i in range(80):
+        dim, n_high, n_low = int(rng.integers(2, 12)), int(rng.integers(0, 9)), int(rng.integers(1, 20))
+        delta = float(rng.choice([0.1, 0.05, 0.01]))
+        made = make_kn_scenario(subseed(41, f"kn-{i}"), dim, n_low, n_high, delta)
+        want = _make_kn_scenario_loop(subseed(41, f"kn-{i}"), dim, n_low, n_high, delta)
+        assert _bytes(made.W, made.contexts, made.tokens, made.weights) == _bytes(
+            want.W, want.contexts, want.tokens, want.weights
+        )
+        n, n_tokens = n_high + n_low, int(rng.integers(2, 12))
+        scale = float(rng.choice([0.1, 1.0, 30.0]))
+        rectangular = KNBoundScenario(
+            rng.normal(size=(n_tokens, dim)) * scale,
+            rng.normal(size=(n, dim)),
+            rng.integers(0, n_tokens, n),
+            rng.uniform(0.1, 1.0, n),
+            delta=0.1,
+        )
+        for scenario in (made, rectangular):
+            assert _bytes(*kn_scores(scenario)) == _bytes(*_kn_scores_loop(scenario))
+            assert _bytes(kn_fisher(scenario)) == _bytes(_kn_fisher_loop(scenario))
+
+
 def test_kn_vacuous_set_reported():
     rng = np.random.default_rng(22)
     W = rng.normal(size=(5, 5))
@@ -488,6 +599,47 @@ def test_verify_theory_all_pass():
     report = verify_theory(seed=0)
     failing = [c["name"] for c in report["checks"] if not c["pass"]]
     assert report["all_pass"], f"failing checks: {failing}"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_reports_are_the_same_on_one_and_two_cores(monkeypatch, seed):
+    reports = []
+    for cores in ({0}, {0, 1}):
+        _use_cores(monkeypatch, cores)
+        reports.append(json.dumps(verify_theory(seed)))
+        assert _children() == []
+    assert reports[0] == reports[1]
+
+
+def test_one_core_starts_no_process(monkeypatch, no_fork):
+    _use_cores(monkeypatch, {0})
+    assert verify_theory(4)["all_pass"]
+
+
+def _failing(name):
+    def fail(*args, **kwargs):
+        raise SingularityError(f"injected in {name}")
+
+    return fail
+
+
+@fork_only
+@pytest.mark.parametrize(
+    "failing, raised",
+    [(["kn_bounds_check"], "kn_bounds_check"), (["one_step_compare", "weak_bias_gain_bound"], "weak_bias_gain_bound")],
+    ids=["helper", "both"],
+)
+def test_a_check_error_is_the_same_on_one_and_two_cores(monkeypatch, failing, raised):
+    """The helper's error surfaces with its type and message; an error in
+    this process's batches, which come first, wins over it."""
+    for name in failing:
+        monkeypatch.setattr(theory, name, _failing(name))
+    for cores in ({0}, {0, 1}):
+        _use_cores(monkeypatch, cores)
+        with pytest.raises(SingularityError) as info:
+            verify_theory(6)
+        assert type(info.value) is SingularityError and str(info.value) == f"injected in {raised}"
+        assert _children() == []
 
 
 def test_gain_sweep_rows_well_formed():

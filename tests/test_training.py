@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import TINY, _children, randomize_params
+from conftest import TINY, _children, fork_only, randomize_params
 from reference_ops import log_softmax_value
 from xtf import numerics as nm
 from xtf import training
@@ -415,7 +415,7 @@ def test_run_experiment_unmasked_arm_equals_sequential_train():
     assert 0.0 < report["normal_acc"] < 1.0 and 0.0 < report["normal_val_acc"]  # not a trivial tie
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the worker by fork")
+@fork_only
 def test_run_experiment_raises_the_worker_error(monkeypatch):
     # the masked arm's 1000 epochs would take ~40 s; the unmasked arm's error
     # ends it at its next epoch instead
@@ -434,7 +434,7 @@ def test_run_experiment_raises_the_worker_error(monkeypatch):
     assert multiprocessing.active_children() == [] and _children() == []
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the worker by fork")
+@fork_only
 def test_run_experiment_raises_the_parent_error_at_once(monkeypatch):
     # the unmasked arm's 1000 epochs would take ~40 s; the masked arm's error
     # kills the worker at once instead
@@ -566,7 +566,7 @@ def test_prefix_share_balances_rows(monkeypatch):
     assert share([10, 10, 100]) == [2]
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the worker by fork")
+@fork_only
 @pytest.mark.parametrize("sides", [("worker",), ("parent",), ("worker", "parent")])
 def test_a_non_finite_run_names_the_same_run_with_the_worker_share(sides, monkeypatch, shared_batches):
     # the last run of the worker's share, the first of the parent's or both
@@ -595,7 +595,7 @@ def test_a_non_finite_run_names_the_same_run_with_the_worker_share(sides, monkey
     assert _children() == []
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the worker by fork")
+@fork_only
 @pytest.mark.parametrize("side", ["worker", "parent"])
 def test_run_experiment_raises_a_base_phase_error_at_once(side, monkeypatch, two_cores):
     # 40 base epochs take well over 10 s; an error on either side in the first
@@ -674,23 +674,6 @@ def test_prepare_base_deterministic():
     a = prepare_base(ModelConfig(seed=2), cfg, 1, 7, task_size=20, background_size=10)
     b = prepare_base(ModelConfig(seed=2), cfg, 1, 7, task_size=20, background_size=10)
     assert a.fingerprint() == b.fingerprint()
-
-
-fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the worker by fork")
-
-
-@pytest.fixture
-def two_cores(monkeypatch):
-    """Two cores to share over, whatever this machine has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
-@pytest.fixture
-def no_fork(monkeypatch):
-    def refuse():
-        raise AssertionError("a process was started")
-
-    monkeypatch.setattr(os, "fork", refuse)
 
 
 @pytest.fixture
