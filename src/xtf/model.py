@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,12 +66,23 @@ class ModelConfig:
             )
 
 
-@dataclass
 class ModelParams:
-    """All weights, in a fixed construction order (also the checkpoint order)."""
+    """All weights of `config` in one float64 buffer, `flat`, in `param_shapes`
+    (checkpoint) order; `tensors` are views of it. A gradient, the two Adam
+    moments and the share worker's two shared-memory buffers use the same
+    layout, so a copy, a step or a hand-over is one operation on one array.
+    Without `flat`, a zero buffer of the right size is made."""
 
-    config: ModelConfig
-    tensors: dict[str, Tensor] = field(default_factory=dict)
+    def __init__(self, config: ModelConfig, flat: np.ndarray | None = None):
+        shapes = param_shapes(config)
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.config = config
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        ends = np.cumsum(sizes).tolist()
+        self.tensors = {
+            name: Tensor(self.flat[end - size : end].reshape(shape))
+            for (name, shape), size, end in zip(shapes.items(), sizes, ends)
+        }
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -83,10 +94,10 @@ class ModelParams:
         return list(self.tensors.values())
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
+        return ModelParams(self.config, self.flat.copy())
 
     def fingerprint(self) -> bytes:
-        return b"".join(t.value.tobytes() for t in self.tensors.values())
+        return self.flat.tobytes()
 
 
 @dataclass
@@ -132,16 +143,14 @@ def param_shapes(config: ModelConfig, n_layers: int | None = None) -> dict[str, 
 def init(config: ModelConfig) -> ModelParams:
     """Deterministic initialization: N(0, 0.02) weights, zero biases, unit gains."""
     rng = np.random.default_rng(config.seed)
-    t: dict[str, Tensor] = {}
-    for name, shape in param_shapes(config).items():
+    params = ModelParams(config)
+    for name, t in params.tensors.items():
         leaf = name.rsplit(".", 1)[-1]
         if leaf == "gain":
-            t[name] = Tensor(np.ones(shape))
-        elif leaf.startswith("b"):
-            t[name] = Tensor(np.zeros(shape))
-        else:
-            t[name] = Tensor(rng.normal(0.0, 0.02, size=shape))
-    return ModelParams(config, t)
+            t.value[...] = 1.0
+        elif not leaf.startswith("b"):
+            t.value[...] = rng.normal(0.0, 0.02, size=t.shape)
+    return params
 
 
 def _check_tokens(config: ModelConfig, tokens, lengths=None) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
@@ -301,39 +310,34 @@ ADAM_EPS = 1e-8
 @dataclass
 class OptState:
     step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None  # Adam's moments, laid out like `ModelParams.flat`
+    v: np.ndarray | None = None
 
 
 def optimizer_step(
-    params: ModelParams,
-    grads: dict[str, np.ndarray],
-    opt_state: OptState,
-    lr: float,
-    mode: str = "sgd",
+    params: ModelParams, grad: np.ndarray, opt_state: OptState, lr: float, mode: str = "sgd"
 ) -> OptState:
-    """One update in place. `mode` is "sgd" (θ ← θ − η·g) or "adam"."""
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        if g.shape != params[name].value.shape:
-            raise TrainingError(f"gradient shape mismatch for {name!r}")
+    """One update in place from `grad`, laid out like `params.flat`. `mode`
+    is "sgd" (θ ← θ − η·g) or "adam"."""
+    if grad.shape != params.flat.shape:
+        raise TrainingError(f"gradient of shape {grad.shape} for parameters of shape {params.flat.shape}")
+    if not np.isfinite(grad).all():
+        name = next(n for n, g in ModelParams(params.config, grad).tensors.items() if not np.isfinite(g.value).all())
+        raise TrainingError(f"non-finite gradient for parameter {name!r}")
     if mode == "sgd":
-        for name, g in grads.items():
-            params[name].value -= lr * g
+        params.flat -= lr * grad
     elif mode == "adam":
+        if opt_state.m is None:
+            opt_state.m, opt_state.v = np.zeros_like(grad), np.zeros_like(grad)
         opt_state.step_count += 1
-        t = opt_state.step_count
-        for name, g in grads.items():
-            m = opt_state.m.setdefault(name, np.zeros_like(g))
-            v = opt_state.v.setdefault(name, np.zeros_like(g))
-            m *= ADAM_BETA1
-            m += (1 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1 - ADAM_BETA2) * g * g
-            m_hat = m / (1 - ADAM_BETA1**t)
-            v_hat = v / (1 - ADAM_BETA2**t)
-            params[name].value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        t, m, v = opt_state.step_count, opt_state.m, opt_state.v
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1 - ADAM_BETA1**t)
+        v_hat = v / (1 - ADAM_BETA2**t)
+        params.flat -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     else:
         raise ConfigError(f"unknown optimizer mode {mode!r}")
     return opt_state
@@ -345,7 +349,8 @@ def optimizer_step(
 # Layout: magic "XTFM" | version u32 | config (vocab_size, d_model, n_layers,
 # n_heads, d_ff, max_seq as u32; seed as i64; tie_output as u8) | tensor
 # count u32 | per tensor: name length u32, name bytes, rank u32, dims u32,
-# float64 payload. Tensor order is the fixed construction order.
+# float64 payload. Tensor order is that of `ModelParams.flat`, whose layout
+# leaves this format as it was.
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"XTFM"
@@ -407,20 +412,19 @@ def load_checkpoint(path) -> ModelParams:
         cfg = ModelConfig(vocab, d, n_layers, n_heads, d_ff, max_seq, seed, bool(tied))
     except ConfigError as exc:
         raise InputError(f"{path}: {exc}") from None
-    expected = param_shapes(cfg)
+    params = ModelParams(cfg)
     (count,) = take("<I")
-    if count != len(expected):
-        raise InputError(f"{path}: {count} tensors, the config needs {len(expected)}")
-    tensors: dict[str, Tensor] = {}
-    for want_name, want_shape in expected.items():
+    if count != len(params.tensors):
+        raise InputError(f"{path}: {count} tensors, the config needs {len(params.tensors)}")
+    for want_name, tensor in params.tensors.items():
         (name_len,) = take("<I")
         raw = blob[off : off + name_len]
         off += name_len
         (rank,) = take("<I")
         dims = take(f"<{rank}I")
-        if raw != want_name.encode("utf-8") or dims != want_shape:
+        if raw != want_name.encode("utf-8") or dims != tensor.shape:
             raise InputError(
-                f"{path}: tensor {raw.decode('utf-8', 'replace')!r} {dims}, expected {want_name!r} {want_shape}"
+                f"{path}: tensor {raw.decode('utf-8', 'replace')!r} {dims}, expected {want_name!r} {tensor.shape}"
             )
         n_bytes = 8 * int(np.prod(dims))
         if off + n_bytes > len(blob):
@@ -428,8 +432,8 @@ def load_checkpoint(path) -> ModelParams:
         arr = np.frombuffer(blob, dtype="<f8", count=n_bytes // 8, offset=off).reshape(dims)
         if not np.isfinite(arr).all():
             raise InputError(f"{path}: tensor {want_name!r} has non-finite values")
-        tensors[want_name] = Tensor(arr.copy())
+        tensor.value[...] = arr
         off += n_bytes
     if off != len(blob):
         raise InputError(f"{path}: {len(blob) - off} bytes past the last tensor")
-    return ModelParams(cfg, tensors)
+    return params

@@ -18,6 +18,7 @@ from . import numerics as nm
 from .data import EOS_ID, TokenizedExample, gen_synth, split_records, strip_noise, subseed, tokenize
 from .filtering import FilterConfig, NoiseMask, apply_filters, complementarity_report, filter_quality
 from .model import (
+    OPTIMIZERS,
     ModelConfig,
     ModelParams,
     OptState,
@@ -28,7 +29,7 @@ from .model import (
     optimizer_step,
     param_shapes,
 )
-from .numerics import ContractError, GradientTape, Tensor
+from .numerics import ContractError, GradientTape
 from .scoring import score_dataset
 
 
@@ -49,6 +50,8 @@ class TrainConfig:
             raise ValueError("epochs, batch_size and report_every must be >= 1")
         if not 0 < self.val_fraction < 1:
             raise ValueError("val_fraction must be in (0, 1)")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"optimizer must be one of {', '.join(OPTIMIZERS)}, got {self.optimizer!r}")
 
 
 def _kept_targets(example: TokenizedExample, mask: NoiseMask | None) -> tuple[np.ndarray, np.ndarray]:
@@ -69,12 +72,13 @@ def packed_loss(
     params: ModelParams,
     examples: list[TokenizedExample],
     masks: list[NoiseMask | None],
-) -> tuple[float, list[np.ndarray]]:
-    """Masked loss summed over `examples`, with gradients (in `params.values()`
-    order) from one tape. The examples are concatenated without padding into
-    one stream of at most `max_seq` rows; no sequence attends to another, so
-    the result is the sum of their `masked_loss` results. The last block
-    runs only at the rows that predict kept tokens (`forward_tensors`)."""
+) -> tuple[float, np.ndarray]:
+    """Masked loss summed over `examples`, with its gradient from one tape,
+    laid out like `params.flat`. The examples are concatenated without
+    padding into one stream of at most `max_seq` rows; no sequence attends
+    to another, so the result is the sum of their `masked_loss` results.
+    The last block runs only at the rows that predict kept tokens
+    (`forward_tensors`)."""
     tokens: list[int] = []
     lengths, rows, cols = [], [], []
     for ex, mask in zip(examples, masks):
@@ -85,11 +89,11 @@ def packed_loss(
         lengths.append(len(ex.tokens))
     rows_all = np.concatenate(rows)
     if rows_all.size == 0:
-        return 0.0, [np.zeros_like(t.value) for t in params.values()]
+        return 0.0, np.zeros_like(params.flat)
     with GradientTape() as tape:
         logits, _ = forward_tensors(params, tokens, lengths, rows_all)
         loss = nm.sequence_nll(logits, np.arange(rows_all.size), np.concatenate(cols))
-    return float(loss.value), tape.gradients(loss, params.values())
+    return float(loss.value), np.concatenate(tape.gradients(loss, params.values()), axis=None)
 
 
 def masked_loss(
@@ -100,8 +104,8 @@ def masked_loss(
     """Sum of negative log-probabilities over kept label tokens, with
     gradients from one tape. Input positions never contribute; a fully
     masked sample yields loss 0 and all-zero gradients."""
-    loss, grads = packed_loss(params, [example], [mask])
-    return loss, dict(zip(params.names(), grads))
+    loss, grad = packed_loss(params, [example], [mask])
+    return loss, {name: t.value for name, t in ModelParams(params.config, grad).tensors.items()}
 
 
 def evaluate(params: ModelParams, eval_set: list[TokenizedExample]) -> float:
@@ -160,20 +164,19 @@ def _check_loss(loss: float, run: tuple) -> None:
         raise TrainingError(f"non-finite loss on the run of samples {[ex.id for ex in run[0]]!r}")
 
 
-def _gradient_sum(params: ModelParams, runs: list[tuple]) -> tuple[list[float], list[np.ndarray]]:
+def _gradient_sum(params: ModelParams, runs: list[tuple]) -> tuple[list[float], np.ndarray]:
     """The losses of `runs` (`packed_loss` argument pairs) and their
-    gradient sum, added in run order with one run's gradients held at a
+    gradient sum, added in run order with one run's gradient held at a
     time. The first run whose loss is not finite raises TrainingError."""
     losses, acc = [], None
     for run in runs:
-        loss, grads = packed_loss(params, *run)
+        loss, grad = packed_loss(params, *run)
         _check_loss(loss, run)
         losses.append(loss)
         if acc is None:
-            acc = grads
+            acc = grad
         else:
-            for a, g in zip(acc, grads):
-                a += g
+            acc += grad
     return losses, acc
 
 
@@ -202,10 +205,8 @@ def _epoch_pass(
         losses, acc = worker.gradient_sum(params, runs) if worker else _gradient_sum(params, runs)
         for loss in losses:
             total_loss += loss
-        scale = 1.0 / len(batch)
-        for a in acc:
-            a *= scale
-        optimizer_step(params, dict(zip(params.names(), acc)), opt_state, config.learning_rate, config.optimizer)
+        acc *= 1.0 / len(batch)
+        optimizer_step(params, acc, opt_state, config.learning_rate, config.optimizer)
     return total_loss / len(examples)
 
 
@@ -356,18 +357,6 @@ def prepare_base(
     return warmup_base(params, examples, train_config, base_epochs)
 
 
-def _shared_params(buffer, config: ModelConfig) -> ModelParams:
-    """Parameters of `config` whose tensors are views, in checkpoint order,
-    of the float64 shared-memory `buffer`."""
-    flat = np.frombuffer(buffer, dtype=np.float64)
-    tensors, start = {}, 0
-    for name, shape in param_shapes(config).items():
-        size = math.prod(shape)
-        tensors[name] = Tensor(flat[start : start + size].reshape(shape))
-        start += size
-    return ModelParams(config, tensors)
-
-
 class _ShareWorker(nm.Fork):
     """A forked worker that computes a prefix of every batch's runs.
 
@@ -380,18 +369,17 @@ class _ShareWorker(nm.Fork):
 
         size = sum(math.prod(shape) for shape in param_shapes(config).values())
         params_buffer, grads_buffer = multiprocessing.RawArray("d", size), multiprocessing.RawArray("d", size)
-        self._params = _shared_params(params_buffer, config)
-        self._grads = [t.value for t in _shared_params(grads_buffer, config).values()]
+        self._params = ModelParams(config, np.frombuffer(params_buffer))
+        self._grad = np.frombuffer(grads_buffer)
         super().__init__(_serve_shares, params_buffer, grads_buffer, config)
 
     def hold(self, params: ModelParams) -> ModelParams:
         """`params` copied into the buffer the worker reads, as views of it:
         updating them in place updates the worker's copy."""
-        for t, src in zip(self._params.values(), params.values()):
-            t.value[...] = src.value
+        self._params.flat[...] = params.flat
         return self._params
 
-    def gradient_sum(self, params: ModelParams, runs: list[tuple]) -> tuple[list[float], list[np.ndarray]]:
+    def gradient_sum(self, params: ModelParams, runs: list[tuple]) -> tuple[list[float], np.ndarray]:
         """`_gradient_sum` of `runs`, of which the worker computes the prefix
         that best balances rows while this process computes the rest. The
         worker's sum comes first, so the runs are added in the same order
@@ -408,20 +396,19 @@ class _ShareWorker(nm.Fork):
         own = []
         try:
             for run in runs[k:]:
-                loss, grads = packed_loss(params, *run)
+                loss, grad = packed_loss(params, *run)
                 _check_loss(loss, run)
-                own.append((loss, grads))
+                own.append((loss, grad))
         finally:
             losses, acc = self.collect()  # a worker's error, on an earlier run, wins
-        for loss, grads in own:
+        for loss, grad in own:
             losses.append(loss)
-            for a, g in zip(acc, grads):
-                a += g
+            acc += grad
         return losses, acc
 
-    def collect(self) -> tuple[list[float], list[np.ndarray]]:
-        """The losses of the worker's runs and their gradient sum (views of
-        the shared buffer) once the worker has them. A worker that raises or
+    def collect(self) -> tuple[list[float], np.ndarray]:
+        """The losses of the worker's runs and their gradient sum (the
+        shared buffer) once the worker has them. A worker that raises or
         dies first makes this raise at once.
 
         Both processes busy-wait for each other's message. A blocking wait
@@ -429,7 +416,7 @@ class _ShareWorker(nm.Fork):
         again cost up to milliseconds per batch: over 15 interleaved 5-epoch
         bases, blocking waits took 2.26 s median (3.45 s worst) against
         2.12 s (2.73 s) busy-waiting, and 2.93 s in one process."""
-        return self.recv(busy=True), self._grads
+        return self.recv(busy=True), self._grad
 
 
 def _serve_shares(conn, params_buffer, grads_buffer, config: ModelConfig) -> None:
@@ -437,15 +424,12 @@ def _serve_shares(conn, params_buffer, grads_buffer, config: ModelConfig) -> Non
     the shared buffer and the losses back, until the parent kills it. A
     diverging run raises here, as in the parent (`train`'s log takes the
     error), and needs no numpy warning."""
-    params = _shared_params(params_buffer, config)
-    acc = [t.value for t in _shared_params(grads_buffer, config).values()]
+    params, acc = ModelParams(config, np.frombuffer(params_buffer)), np.frombuffer(grads_buffer)
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             while not conn.poll(0):  # busy-waits, as `_ShareWorker.collect` says why
                 pass
-            losses, grads = _gradient_sum(params, conn.recv())
-            for a, g in zip(acc, grads):
-                a[...] = g
+            losses, acc[...] = _gradient_sum(params, conn.recv())
             conn.send(losses)
 
 

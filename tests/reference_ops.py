@@ -3,17 +3,20 @@
 The ops register their backward through `nm.record_op` like the fused ops
 of `xtf.numerics`, so they compose with them on one tape; the tests use
 them as oracles for the fused ops and as small losses for tape checks.
-`finite_diff_check` is the independent referee for tape gradients.
+`finite_diff_check` is the independent referee for tape gradients, and
+`reference_optimizer_step` the tensor-by-tensor optimizer that the flat
+`optimizer_step` must match bit for bit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from xtf import numerics as nm
-from xtf.model import InputError, ModelParams, forward
+from xtf.model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ConfigError, InputError, ModelParams, TrainingError, forward
 from xtf.numerics import ContractError, GradientTape, ShapeError, Tensor
 
 
@@ -104,6 +107,44 @@ def embed(params: ModelParams, token_id: int) -> np.ndarray:
     if not 0 <= token_id < params.config.vocab_size:
         raise InputError(f"token id {token_id} out of vocabulary")
     return params["tok_emb"].value[token_id].copy()
+
+
+@dataclass
+class ReferenceOptState:
+    step_count: int = 0
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
+
+
+def reference_optimizer_step(
+    params: dict[str, np.ndarray], grads: dict[str, np.ndarray], opt_state: ReferenceOptState, lr: float, mode: str
+) -> ReferenceOptState:
+    """`optimizer_step` with one array per weight, for the gradient and each
+    Adam moment alike, updated in place one name at a time."""
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise TrainingError(f"non-finite gradient for parameter {name!r}")
+        if g.shape != params[name].shape:
+            raise TrainingError(f"gradient shape mismatch for {name!r}")
+    if mode == "sgd":
+        for name, g in grads.items():
+            params[name] -= lr * g
+    elif mode == "adam":
+        opt_state.step_count += 1
+        t = opt_state.step_count
+        for name, g in grads.items():
+            m = opt_state.m.setdefault(name, np.zeros_like(g))
+            v = opt_state.v.setdefault(name, np.zeros_like(g))
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            m_hat = m / (1 - ADAM_BETA1**t)
+            v_hat = v / (1 - ADAM_BETA2**t)
+            params[name] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    else:
+        raise ConfigError(f"unknown optimizer mode {mode!r}")
+    return opt_state
 
 
 def finite_diff_check(

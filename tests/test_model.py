@@ -4,13 +4,25 @@ import numpy as np
 import pytest
 
 from conftest import TINY, randomize_params
-from reference_ops import embed, finite_diff_check, log_softmax, next_token_probs, pick, scale, total
+from reference_ops import (
+    embed,
+    finite_diff_check,
+    log_softmax,
+    next_token_probs,
+    pick,
+    ReferenceOptState,
+    reference_optimizer_step,
+    scale,
+    total,
+)
 from xtf.data import TokenizedExample
 from xtf.model import (
     MAX_WEIGHTS,
+    OPTIMIZERS,
     ConfigError,
     InputError,
     ModelConfig,
+    ModelParams,
     OptState,
     TrainingError,
     forward,
@@ -136,9 +148,9 @@ def test_embed_is_table_row(tiny_params):
 
 def test_embed_changes_after_touching_step(tiny_params):
     before = embed(tiny_params, 2)
-    grads = {n: np.zeros_like(tiny_params[n].value) for n in tiny_params.names()}
-    grads["tok_emb"][2] = 1.0
-    optimizer_step(tiny_params, grads, OptState(), lr=0.1, mode="sgd")
+    grad = ModelParams(TINY)
+    grad["tok_emb"].value[2] = 1.0
+    optimizer_step(tiny_params, grad.flat, OptState(), lr=0.1, mode="sgd")
     after = embed(tiny_params, 2)
     assert not np.array_equal(before, after)
 
@@ -147,18 +159,18 @@ def test_sgd_step_literal():
     cfg = ModelConfig(vocab_size=2, d_model=2, n_layers=1, n_heads=1, d_ff=2, max_seq=4, seed=0)
     params = init(cfg)
     params["tok_emb"].value[...] = 0.0
-    grads = {n: np.zeros_like(params[n].value) for n in params.names()}
-    grads["tok_emb"][0, 0] = 1.0
-    optimizer_step(params, grads, OptState(), lr=0.1, mode="sgd")
+    grad = ModelParams(cfg)
+    grad["tok_emb"].value[0, 0] = 1.0
+    optimizer_step(params, grad.flat, OptState(), lr=0.1, mode="sgd")
     assert params["tok_emb"].value[0, 0] == pytest.approx(-0.1, abs=1e-15)
 
 
 def test_zero_gradient_keeps_params(tiny_params):
     before = tiny_params.fingerprint()
-    grads = {n: np.zeros_like(tiny_params[n].value) for n in tiny_params.names()}
-    optimizer_step(tiny_params, grads, OptState(), lr=0.5, mode="sgd")
+    grad = np.zeros_like(tiny_params.flat)
+    optimizer_step(tiny_params, grad, OptState(), lr=0.5, mode="sgd")
     assert tiny_params.fingerprint() == before
-    optimizer_step(tiny_params, grads, OptState(), lr=0.5, mode="adam")
+    optimizer_step(tiny_params, grad, OptState(), lr=0.5, mode="adam")
     assert tiny_params.fingerprint() == before
 
 
@@ -168,18 +180,50 @@ def test_adam_first_step_magnitude(magnitude):
     cfg = ModelConfig(vocab_size=2, d_model=2, n_layers=1, n_heads=1, d_ff=2, max_seq=4, seed=0)
     params = init(cfg)
     before = params["tok_emb"].value.copy()
-    grads = {n: np.zeros_like(params[n].value) for n in params.names()}
-    grads["tok_emb"][...] = magnitude
-    optimizer_step(params, grads, OptState(), lr=0.01, mode="adam")
+    grad = ModelParams(cfg)
+    grad["tok_emb"].value[...] = magnitude
+    optimizer_step(params, grad.flat, OptState(), lr=0.01, mode="adam")
     delta = np.abs(params["tok_emb"].value - before)
     np.testing.assert_allclose(delta, 0.01, rtol=1e-4)
 
 
 def test_optimizer_rejects_non_finite(tiny_params):
-    grads = {n: np.zeros_like(tiny_params[n].value) for n in tiny_params.names()}
-    grads["tok_emb"][0, 0] = np.nan
-    with pytest.raises(TrainingError):
-        optimizer_step(tiny_params, grads, OptState(), lr=0.1, mode="sgd")
+    grad = ModelParams(TINY)
+    grad["tok_emb"].value[0, 0] = np.nan
+    with pytest.raises(TrainingError, match="'tok_emb'"):
+        optimizer_step(tiny_params, grad.flat, OptState(), lr=0.1, mode="sgd")
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_optimizer_rejects_a_gradient_of_the_wrong_size(tiny_params, extra):
+    before = tiny_params.fingerprint()
+    grad = np.zeros(tiny_params.flat.size + extra)
+    for mode in OPTIMIZERS:
+        with pytest.raises(TrainingError, match="shape"):
+            optimizer_step(tiny_params, grad, OptState(), lr=0.1, mode=mode)
+    assert tiny_params.fingerprint() == before
+
+
+@pytest.mark.parametrize("mode", OPTIMIZERS)
+@pytest.mark.parametrize("tie_output", [True, False])
+def test_optimizer_is_bitwise_the_per_tensor_reference(mode, tie_output):
+    # the flat step against one taken tensor by tensor on separate arrays,
+    # over 60 steps of gradients that span many magnitudes and hold zeros
+    cfg = ModelConfig(**{**TINY.__dict__, "tie_output": tie_output})
+    params, state = init(cfg), OptState()
+    want, want_state = {n: t.value.copy() for n, t in params.tensors.items()}, ReferenceOptState()
+    by_name = lambda flat: {n: t.value.copy() for n, t in ModelParams(cfg, flat).tensors.items()}
+    rng = np.random.default_rng(11)
+    for step in range(60):
+        grad = rng.normal(size=params.flat.size) * 10.0 ** rng.integers(-6, 3, params.flat.size)
+        grad[rng.random(grad.size) < 0.1] = 0.0
+        optimizer_step(params, grad, state, lr=3e-3, mode=mode)
+        reference_optimizer_step(want, by_name(grad), want_state, lr=3e-3, mode=mode)
+        assert params.fingerprint() == b"".join(w.tobytes() for w in want.values()), step
+    if mode == "adam":
+        assert state.step_count == want_state.step_count == 60
+        assert state.m.tobytes() == b"".join(want_state.m[n].tobytes() for n in params.names())
+        assert state.v.tobytes() == b"".join(want_state.v[n].tobytes() for n in params.names())
 
 
 def test_loss_gradients_match_finite_differences(tiny_generic_params):

@@ -17,7 +17,7 @@ from xtf import numerics as nm
 from xtf import training
 from xtf.data import EOS_ID, TokenizedExample, gen_synth, split_records, strip_noise, subseed, tokenize
 from xtf.filtering import FilterConfig, NoiseMask
-from xtf.model import InputError, ModelConfig, OptState, forward, forward_tensors, init
+from xtf.model import InputError, ModelConfig, ModelParams, OptState, forward, forward_tensors, init
 from xtf.numerics import ContractError
 from xtf.training import (
     TrainConfig,
@@ -178,11 +178,11 @@ def test_packed_loss_equals_sum_of_single_sequence_losses(with_masks):
     names = params.names()
     for _ in range(12):
         run, masks = _random_run(rng, PACK.max_seq, with_masks)
-        loss, grads = packed_loss(params, run, masks)
+        loss, grad = packed_loss(params, run, masks)
         singles = [masked_loss(params, ex, m) for ex, m in zip(run, masks)]
         assert loss == pytest.approx(sum(l for l, _ in singles), rel=1e-12, abs=0.0)
-        for name, g in zip(names, grads):
-            assert _close(g, sum(gs[name] for _, gs in singles)), name
+        for name, g in zip(names, ModelParams(PACK, grad).values()):
+            assert _close(g.value, sum(gs[name] for _, gs in singles)), name
 
         tokens = [t for ex in run for t in ex.tokens]
         logits, _ = forward_tensors(params, tokens, [len(ex.tokens) for ex in run])
@@ -223,11 +223,11 @@ def test_packed_loss_equals_the_full_rows_forward():
         [_mask(a, every), _mask(b, every - {3}), _mask(c, every)],  # a single kept row
     ]
     for examples, masks in [(run, m) for m in cases] + [_random_run(rng, PACK.max_seq, True) for _ in range(12)]:
-        loss, grads = packed_loss(params, examples, masks)
+        loss, grad = packed_loss(params, examples, masks)
         want, want_grads = _full_rows_packed_loss(params, examples, masks)
         assert loss == pytest.approx(want, rel=1e-12, abs=0.0)
-        for name, g, w in zip(params.names(), grads, want_grads):
-            assert _close(g, w), name
+        for name, g, w in zip(params.names(), ModelParams(PACK, grad).values(), want_grads):
+            assert _close(g.value, w), name
 
     # rows must strictly increase inside the stream, or the logits would be wrong
     tokens = [t for ex in run for t in ex.tokens]
@@ -270,6 +270,13 @@ def test_epoch_pass_step_is_mean_of_per_sample_gradients():
     for name in params.names():
         mean = sum(g[name] for g in singles) / len(batch)
         assert _close(params[name].value - stepped[name].value, mean, rel=1e-11), name
+
+
+def test_train_config_rejects_an_unknown_optimizer():
+    # before any worker starts or any pass runs, and naming the allowed modes
+    with pytest.raises(ValueError, match="optimizer must be one of sgd, adam, got 'adamw'"):
+        TrainConfig(optimizer="adamw")
+    assert [TrainConfig(optimizer=mode).optimizer for mode in ("sgd", "adam")] == ["sgd", "adam"]
 
 
 def _tiny_corpus(n=24, seed=0):
@@ -543,7 +550,7 @@ def test_base_with_the_worker_share_is_bitwise_the_single_process_base(
         assert bool(shared_batches) == (cores == 2)
     for alone, shared in zip(bases[1], bases[2]):
         assert shared.fingerprint() == alone.fingerprint()
-        assert all(t.value.base is None for t in shared.values())  # copies, not views of the shared buffer
+        assert shared.flat.base is None  # a copy, not a view of the shared buffer
     assert _children() == []
 
 
