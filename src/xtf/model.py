@@ -87,9 +87,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
-    def names(self) -> list[str]:
-        return list(self.tensors)
-
     def values(self) -> list[Tensor]:
         return list(self.tensors.values())
 

@@ -67,9 +67,8 @@ def _ri_from_trace(trace: ForwardTrace, l_input: int, n_out: int, agg: str) -> n
 
     The final token has no later queries; it gets its (pooled) self-attention
     weight instead so causal masking alone never marks it unimportant.
+    `agg` is one of RI_AGGS, which `score_dataset` checks up front.
     """
-    if agg not in RI_AGGS:
-        raise ValueError(f"unknown ri aggregation {agg!r}")
     att = trace.attention if agg != "last_layer_mean" else trace.attention[-1:]
     seq, f = att.shape[-1], trace.first
     s_ri = np.empty(n_out)
@@ -209,8 +208,10 @@ def score_dataset(
     but the last while this process scores the last, each with BLAS at one
     thread. The result is bitwise that of one loop over the examples, and
     no helper outlives the call. With one core or one valid example, no
-    process starts.
+    process starts. An unknown `ri_agg` raises ValueError before any work.
     """
+    if ri_agg not in RI_AGGS:
+        raise ValueError(f"ri_agg must be one of {', '.join(RI_AGGS)}, got {ri_agg!r}")
     errors: list[tuple[str, str]] = []
     valid: list[TokenizedExample] = []
     for ex in dataset:

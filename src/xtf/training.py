@@ -109,30 +109,28 @@ def masked_loss(
 
 
 def evaluate(params: ModelParams, eval_set: list[TokenizedExample]) -> float:
-    """Greedy-decoding exact match. The label is compared after stripping
-    its trailing EOS; generation stops at EOS or shortly past label length.
+    """Greedy-decoding exact match against the label without its trailing
+    EOS (the target), from one forward pass per example.
 
-    Decoding stops early once a token diverges from the target, which
-    cannot change the verdict (greedy decoding is deterministic token by
-    token), only the cost."""
+    Decoding that stops at the first token differing from the target only
+    ever feeds the input plus a prefix of the target. So an example is right
+    exactly when one pass over input + target predicts the target, then EOS,
+    at its label rows: scoring's pass from row l_input - 1, which equals the
+    prefix passes up to rounding. An example that does not fit is wrong
+    without a pass. The pass stops before a target id outside the
+    vocabulary, which decoding never emits: too few rows make the example
+    wrong, and a bad input still raises InputError."""
     if not eval_set:
         raise ValueError("evaluate needs a non-empty set")
 
     correct = 0
     for ex in eval_set:
-        target = ex.output_ids
-        if target and target[-1] == EOS_ID:
-            target = target[:-1]
-        seq = list(ex.input_ids)
-        ok = len(seq) + len(target) < params.config.max_seq
-        if ok:
-            for expected in target + [EOS_ID]:
-                nxt = int(np.argmax(forward(params, seq).logits[-1]))
-                if nxt != expected:
-                    ok = False
-                    break
-                seq.append(nxt)
-        correct += int(ok)
+        target = ex.output_ids[:-1] if ex.output_ids[-1:] == [EOS_ID] else ex.output_ids
+        if ex.l_input + len(target) >= params.config.max_seq:
+            continue
+        known = next((k for k, t in enumerate(target) if not 0 <= t < params.config.vocab_size), len(target))
+        logits = forward(params, ex.input_ids + target[:known], ex.l_input - 1).logits
+        correct += np.argmax(logits, axis=-1).tolist() == target + [EOS_ID]
     return correct / len(eval_set)
 
 

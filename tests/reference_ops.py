@@ -5,7 +5,8 @@ of `xtf.numerics`, so they compose with them on one tape; the tests use
 them as oracles for the fused ops and as small losses for tape checks.
 `finite_diff_check` is the independent referee for tape gradients, and
 `reference_optimizer_step` the tensor-by-tensor optimizer that the flat
-`optimizer_step` must match bit for bit.
+`optimizer_step` must match bit for bit, and `greedy_evaluate` the
+token-by-token decoding whose verdicts `evaluate` must give.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from xtf import numerics as nm
+from xtf.data import EOS_ID, TokenizedExample
 from xtf.model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ConfigError, InputError, ModelParams, TrainingError, forward
 from xtf.numerics import ContractError, GradientTape, ShapeError, Tensor
 
@@ -100,6 +102,31 @@ def next_token_probs(params: ModelParams, prefix) -> np.ndarray:
     """Softmax over the vocabulary at the final position of `prefix`."""
     trace = forward(params, prefix)
     return nm.softmax_value(trace.logits[-1])
+
+
+def greedy_evaluate(params: ModelParams, eval_set: list[TokenizedExample]) -> float:
+    """Greedy-decoding exact match, one full forward pass per generated
+    token. The label is compared after stripping its trailing EOS;
+    decoding stops at the first token that differs from it."""
+    if not eval_set:
+        raise ValueError("evaluate needs a non-empty set")
+
+    correct = 0
+    for ex in eval_set:
+        target = ex.output_ids
+        if target and target[-1] == EOS_ID:
+            target = target[:-1]
+        seq = list(ex.input_ids)
+        ok = len(seq) + len(target) < params.config.max_seq
+        if ok:
+            for expected in target + [EOS_ID]:
+                nxt = int(np.argmax(forward(params, seq).logits[-1]))
+                if nxt != expected:
+                    ok = False
+                    break
+                seq.append(nxt)
+        correct += int(ok)
+    return correct / len(eval_set)
 
 
 def embed(params: ModelParams, token_id: int) -> np.ndarray:

@@ -222,8 +222,8 @@ def test_optimizer_is_bitwise_the_per_tensor_reference(mode, tie_output):
         assert params.fingerprint() == b"".join(w.tobytes() for w in want.values()), step
     if mode == "adam":
         assert state.step_count == want_state.step_count == 60
-        assert state.m.tobytes() == b"".join(want_state.m[n].tobytes() for n in params.names())
-        assert state.v.tobytes() == b"".join(want_state.v[n].tobytes() for n in params.names())
+        assert state.m.tobytes() == b"".join(want_state.m[n].tobytes() for n in params.tensors)
+        assert state.v.tobytes() == b"".join(want_state.v[n].tobytes() for n in params.tensors)
 
 
 def test_loss_gradients_match_finite_differences(tiny_generic_params):
@@ -241,7 +241,7 @@ def test_loss_gradients_match_finite_differences(tiny_generic_params):
 def test_untied_output_projection():
     cfg = ModelConfig(vocab_size=10, d_model=6, n_layers=1, n_heads=2, d_ff=8, max_seq=8, seed=3, tie_output=False)
     params = init(cfg)
-    assert "out_proj" in params.names()
+    assert "out_proj" in params.tensors
     trace = forward(params, [1, 2, 3])
     assert trace.logits.shape == (3, 10)
 
@@ -251,7 +251,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path, tiny_generic_params):
     save_checkpoint(tiny_generic_params, path)
     loaded = load_checkpoint(path)
     assert loaded.config == tiny_generic_params.config
-    assert loaded.names() == tiny_generic_params.names()
+    assert list(loaded.tensors) == list(tiny_generic_params.tensors)
     assert loaded.fingerprint() == tiny_generic_params.fingerprint()
     # saving the loaded params reproduces the file byte for byte
     path2 = tmp_path / "model2.ckpt"

@@ -69,8 +69,8 @@ def test_score_ri_range_and_aggs(tiny_params):
         s_ri = _ri_from_trace(trace, ex.l_input, 4, agg)
         assert np.all(s_ri >= 0.0) and np.all(s_ri <= 1.0)
     assert np.all(_ri_from_trace(trace, ex.l_input, 4, "sum") >= 0.0)
-    with pytest.raises(ValueError):
-        _ri_from_trace(trace, ex.l_input, 4, "median")
+    with pytest.raises(ValueError, match="ri_agg"):  # checked once, up front
+        score_dataset(tiny_params, [ex], ri_agg="median")
 
 
 def _ri_by_mean(attention, l_input, n_out, agg):
@@ -553,6 +553,12 @@ def test_one_core_starts_no_process(monkeypatch, no_fork):
     params = randomize_params(init(TINY), seed=8)
     dataset = _random_dataset(5)
     _assert_same_result(score_dataset(params, dataset), _serial_scores(params, dataset))
+
+
+def test_an_unknown_ri_agg_raises_before_any_work(two_cores, no_fork, monkeypatch):
+    monkeypatch.setattr(scoring, "compute_domain_vector", None)  # never reached
+    with pytest.raises(ValueError, match="ri_agg must be one of mean, sum, last_layer_mean, got 'max'"):
+        score_dataset(randomize_params(init(TINY), seed=8), _random_dataset(5), ri_agg="max")
 
 
 @fork_only

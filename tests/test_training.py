@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import TINY, _children, fork_only, randomize_params
-from reference_ops import log_softmax_value
+from reference_ops import greedy_evaluate, log_softmax_value
 from xtf import numerics as nm
 from xtf import training
 from xtf.data import EOS_ID, TokenizedExample, gen_synth, split_records, strip_noise, subseed, tokenize
@@ -113,18 +113,143 @@ def test_masked_loss_rejects_length_mismatch(tiny_generic_params):
         masked_loss(tiny_generic_params, ex, NoiseMask(ex.id, [False], [()]))
 
 
-def test_evaluate_memorized_and_order_invariance(tiny_params):
-    # a model cannot memorize in zero steps, so instead check the contract
-    # with a random model: accuracy is order invariant and in [0, 1]
+# vocab_size reaches EOS_ID (98): with TINY's 10 ids no verdict can be right
+MEM = ModelConfig(vocab_size=99, d_model=16, n_layers=2, n_heads=2, d_ff=32, max_seq=12, seed=3)
+
+
+def _labelled(rng, n, prefix):
+    """`n` examples of 1-4 input ids and labels (EOS included) that fit in
+    MEM.max_seq; the first fills it exactly, every fourth has an EOS mid-label."""
+    out = []
+    for i in range(n):
+        n_in = int(rng.integers(1, 5))
+        n_label = MEM.max_seq - n_in if i == 0 else int(rng.integers(1, MEM.max_seq - n_in + 1))
+        label = rng.integers(0, EOS_ID, n_label - 1).tolist()
+        if i % 4 == 0 and len(label) > 1:
+            label[len(label) // 2] = EOS_ID
+        out.append(_example(rng.integers(0, EOS_ID, n_in).tolist(), label + [EOS_ID], f"{prefix}{i}"))
+    return out
+
+
+@pytest.fixture(scope="module")
+def memorizing():
+    """Snapshots of a MEM model fitting the 16 `seen` examples, after 5, 10,
+    20 and 40 epochs, and 8 `unseen` ones of the same kind."""
     rng = np.random.default_rng(0)
-    eval_set = [
-        _example([1, 2], rng.integers(0, TINY.vocab_size, 3).tolist(), f"e{i}")
-        for i in range(10)
+    seen, unseen = _labelled(rng, 16, "s"), _labelled(rng, 8, "u")
+    params, opt_state, order_rng = init(MEM), OptState(), np.random.default_rng(1)
+    config = TrainConfig(learning_rate=1e-2, batch_size=4)
+    snapshots = []
+    for epoch in range(1, 41):
+        _epoch_pass(params, seen, None, config, order_rng, opt_state)
+        if epoch in (5, 10, 20, 40):
+            snapshots.append(params.copy())
+    return snapshots, seen, unseen
+
+
+def _verdicts(evaluate_fn, params, examples):
+    return [evaluate_fn(params, [ex]) for ex in examples]
+
+
+def test_evaluate_verdicts_are_greedy_decodings_while_memorizing(memorizing):
+    snapshots, seen, unseen = memorizing
+    accuracies = []
+    for params in snapshots:
+        got = _verdicts(evaluate, params, seen + unseen)
+        assert got == _verdicts(greedy_evaluate, params, seen + unseen)
+        accuracies.append(sum(got) / len(got))
+    assert any(0.0 < acc < 1.0 for acc in accuracies), accuracies
+    assert accuracies[-1] > accuracies[0]
+
+
+def _greedy_tokens(params, prefix, n):
+    """Up to `n` greedy tokens after `prefix`, through the first EOS."""
+    seq = list(prefix)
+    while len(seq) < len(prefix) + n and (len(seq) == len(prefix) or seq[-1] != EOS_ID):
+        seq.append(int(np.argmax(forward(params, seq).logits[-1])))
+    return seq[len(prefix) :]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_evaluate_verdicts_are_greedy_decodings_on_random_models(seed):
+    # labels echo the model's own greedy tokens, so every label row's argmax
+    # decides a verdict; the echo's end, one token early, or a changed token
+    params = randomize_params(init(dataclasses.replace(MEM, seed=seed)), seed=seed, scale=1.0)
+    rng = np.random.default_rng(seed)
+    examples = []
+    for i in range(30):
+        inp = rng.integers(0, MEM.vocab_size, int(rng.integers(1, 6))).tolist()
+        echo = _greedy_tokens(params, inp, MEM.max_seq - len(inp) - 1)
+        examples += [_example(inp, echo, f"e{i}"), _example(inp, echo[:-1], f"p{i}")]
+        changed = list(echo)
+        changed[int(rng.integers(len(changed)))] = int(rng.integers(MEM.vocab_size))
+        examples.append(_example(inp, changed, f"c{i}"))
+    got = _verdicts(evaluate, params, examples)
+    assert got == _verdicts(greedy_evaluate, params, examples)
+    assert 1.0 in got
+
+
+def test_evaluate_edge_cases_are_greedy_decodings(memorizing):
+    snapshots, seen, _ = memorizing
+    params = snapshots[-1]
+    full = seen[0]  # input + label fill max_seq, so input + target is max_seq - 1
+    mid_eos = next(ex for ex in seen if EOS_ID in ex.output_ids[:-1])
+    one_input = next(ex for ex in seen if ex.l_input == 1)
+    bad = MEM.vocab_size
+    cases = [
+        (full, 1.0),
+        (_example([1] + full.input_ids, full.output_ids), 0.0),  # input + target is max_seq
+        (_example(full.input_ids, full.output_ids[:2] + [bad] + full.output_ids[3:]), 0.0),
+        (_example(full.input_ids, full.output_ids[:1] + [-1] + full.output_ids[2:]), 0.0),
+        (_example(full.tokens[:-1], [EOS_ID]), 1.0),  # empty label at l_input = max_seq - 1
+        (_example(full.tokens[:-1], []), 1.0),
+        (_example(full.input_ids, []), 0.0),
+        (mid_eos, 1.0),
+        (one_input, 1.0),  # the pass from row 0 is the full pass
     ]
-    acc1 = evaluate(tiny_params, eval_set)
-    acc2 = evaluate(tiny_params, list(reversed(eval_set)))
-    assert acc1 == acc2
-    assert 0.0 <= acc1 <= 1.0
+    for ex, want in cases:
+        assert evaluate(params, [ex]) == greedy_evaluate(params, [ex]) == want, ex
+    for ex in (_example([bad] + full.input_ids[1:], full.output_ids), _example([bad], [bad, EOS_ID])):
+        for evaluate_fn in (evaluate, greedy_evaluate):
+            with pytest.raises(InputError):
+                evaluate_fn(params, [ex])
+    for evaluate_fn in (evaluate, greedy_evaluate):
+        with pytest.raises(ValueError, match="non-empty"):
+            evaluate_fn(params, [])
+        with pytest.raises(ValueError):  # no input, which `tokenize` never makes
+            evaluate_fn(params, [_example([], [3])])
+
+
+def test_evaluate_runs_one_pass_over_input_and_target_per_example_that_fits(monkeypatch):
+    params = randomize_params(init(MEM), seed=4)
+    examples = [
+        _example([1, 2], [3, 4, EOS_ID], "eos"),
+        _example([1, 2], [3, 4], "no-eos"),
+        _example([5], [6] * (MEM.max_seq - 2) + [EOS_ID], "max_seq - 1"),
+        _example([5, 5], [6] * (MEM.max_seq - 2) + [EOS_ID], "max_seq"),
+        _example([7] * MEM.max_seq, [8], "longer"),
+        _example([9], [EOS_ID, EOS_ID], "mid-eos"),
+    ]
+    calls = []
+
+    def recording_forward(*args, **kwargs):
+        calls.append((args, kwargs))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", recording_forward)
+    evaluate(params, examples)
+    # positional, as the benchmark's tracer reads the tokens from args[1]
+    passes = [([1, 2, 3, 4], 1), ([1, 2, 3, 4], 1), ([5] + [6] * (MEM.max_seq - 2), 0), ([9, EOS_ID], 0)]
+    assert calls == [((params, tokens, first), {}) for tokens, first in passes]
+
+
+def test_evaluate_memorized_and_order_invariance(memorizing):
+    snapshots, seen, unseen = memorizing
+    params = snapshots[-1]
+    eval_set = seen[::2] + unseen
+    acc = evaluate(params, eval_set)
+    assert 0.0 < acc < 1.0
+    assert evaluate(params, list(reversed(eval_set))) == acc
 
 
 def test_evaluate_random_model_near_zero():
@@ -175,7 +300,7 @@ def _random_run(rng, max_seq, with_masks):
 def test_packed_loss_equals_sum_of_single_sequence_losses(with_masks):
     rng = np.random.default_rng(17 + with_masks)
     params = randomize_params(init(PACK), seed=5)
-    names = params.names()
+    names = list(params.tensors)
     for _ in range(12):
         run, masks = _random_run(rng, PACK.max_seq, with_masks)
         loss, grad = packed_loss(params, run, masks)
@@ -226,7 +351,7 @@ def test_packed_loss_equals_the_full_rows_forward():
         loss, grad = packed_loss(params, examples, masks)
         want, want_grads = _full_rows_packed_loss(params, examples, masks)
         assert loss == pytest.approx(want, rel=1e-12, abs=0.0)
-        for name, g, w in zip(params.names(), ModelParams(PACK, grad).values(), want_grads):
+        for name, g, w in zip(params.tensors, ModelParams(PACK, grad).values(), want_grads):
             assert _close(g.value, w), name
 
     # rows must strictly increase inside the stream, or the logits would be wrong
@@ -267,7 +392,7 @@ def test_epoch_pass_step_is_mean_of_per_sample_gradients():
     stepped = params.copy()
     _epoch_pass(stepped, batch, masks, cfg, np.random.default_rng(0), OptState())
     singles = [masked_loss(params, ex, masks.get(ex.id))[1] for ex in batch]
-    for name in params.names():
+    for name in params.tensors:
         mean = sum(g[name] for g in singles) / len(batch)
         assert _close(params[name].value - stepped[name].value, mean, rel=1e-11), name
 
