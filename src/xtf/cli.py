@@ -316,6 +316,9 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal assertion failure: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

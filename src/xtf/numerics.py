@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 import os
+import signal
 import sys
 import threading
 from contextlib import contextmanager
@@ -56,9 +57,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.value.ndim
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.value.copy())
 
     def check_finite(self, what: str = "tensor") -> "Tensor":
         if not np.all(np.isfinite(self.value)):
@@ -406,13 +404,26 @@ def available_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+@functools.cache
+def steady_heap() -> None:
+    """Have glibc's malloc keep freed memory for reuse: blocks under 64 MiB
+    come from the heap, which is trimmed only past 256 MiB free at its top,
+    so training's per-run tape temporaries are not faulted in again. Setting
+    M_MMAP_THRESHOLD turns off glibc's dynamic threshold for the rest of the
+    process: the calling process, a library user's too, keeps it, as do its
+    forks. Runs once per process; does nothing where `mallopt` is missing."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-3, 64 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
 def die_with_parent() -> None:
     """On Linux, have the kernel kill this process when the thread that
     started it exits, so a killed parent leaves no worker blocked forever.
     Does nothing elsewhere."""
     if sys.platform.startswith("linux"):
-        import signal
-
         prctl = ctypes.CDLL(None).prctl
         prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
         prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
@@ -420,6 +431,7 @@ def die_with_parent() -> None:
 
 def _child_main(fn: Callable, args: tuple, conn, parent_conn) -> None:
     parent_conn.close()  # so a parent that goes away reads as EOF here
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C reaches the parent, whose exit kills this
     die_with_parent()
     with one_blas_thread():
         try:

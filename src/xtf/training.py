@@ -248,6 +248,7 @@ def _sharing(
     thread in both processes, when this process may run on more than one
     core and some batch can span more than one `max_seq` run; otherwise
     None, and no process starts. The worker has exited when the block ends."""
+    nm.steady_heap()
     longest = sorted(len(ex.tokens) for ex in _usable(dataset, masks))[-config.batch_size :]
     if nm.available_cores() < 2 or sum(longest) <= params.config.max_seq:
         yield None

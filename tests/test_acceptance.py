@@ -296,6 +296,7 @@ def test_criterion_09_kn_filter_boundary():
     _verdict("criterion 9: novelty cutoff flags exactly pcp > 0.95", ok)
 
 
+@pytest.mark.slow
 def test_criterion_10_directional_experiment():
     start = time.perf_counter()
     wins = 0

@@ -283,6 +283,17 @@ def test_cli_unknown_flag_exits_1(capsys):
     assert _run(["gen-synth", "--no-such-flag"]) == 1
 
 
+def test_cli_ctrl_c_exits_130_with_one_line(tmp_path, monkeypatch, capsys):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.D, "gen_synth", interrupted)
+    assert _run(["gen-synth", "--task", "copy", "--size", "4", "--out", str(tmp_path / "d.jsonl")]) == 130
+    captured = capsys.readouterr()
+    assert captured.err == "error: interrupted\n" and captured.out == ""
+    assert not (tmp_path / "d.jsonl").exists()
+
+
 def test_cli_missing_scores_file_exits_1(tmp_path, capsys):
     for missing in (tmp_path / "nope.jsonl", tmp_path):  # no file, or a directory
         code = _run(["filter", "--scores", str(missing), "--out", str(tmp_path / "m.jsonl")])

@@ -1,4 +1,7 @@
 import math
+import os
+import signal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -342,3 +345,29 @@ def test_one_blas_thread_pins_and_restores():
         assert get() == 2
     finally:
         set_(before)
+
+
+def _child_interrupted(conn):
+    os.kill(os.getpid(), signal.SIGINT)
+    return "done"
+
+
+def test_a_fork_child_ignores_ctrl_c(capfd):
+    # Ctrl-C reaches the whole foreground group; the parent's exit kills the child
+    with nm.Fork(_child_interrupted) as child:
+        assert child.recv() == "done"
+    assert capfd.readouterr().err == ""
+
+
+def test_steady_heap_sets_the_two_thresholds_and_is_a_no_op_without_mallopt(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    for libc, expected in ((SimpleNamespace(), []), (SimpleNamespace(mallopt=mallopt), [(-3, 64 << 20), (-1, 256 << 20)])):
+        calls.clear()
+        monkeypatch.setattr(nm.ctypes, "CDLL", lambda name: libc)
+        assert nm.steady_heap.__wrapped__() is None  # the undecorated body: this process has run it already
+        assert calls == expected

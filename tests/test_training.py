@@ -1,6 +1,8 @@
+import ctypes
 import dataclasses
 import multiprocessing
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -17,7 +19,7 @@ from xtf import numerics as nm
 from xtf import training
 from xtf.data import EOS_ID, TokenizedExample, gen_synth, split_records, strip_noise, subseed, tokenize
 from xtf.filtering import FilterConfig, NoiseMask
-from xtf.model import InputError, ModelConfig, ModelParams, OptState, forward, forward_tensors, init
+from xtf.model import InputError, ModelConfig, ModelParams, OptState, forward, forward_tensors, init, optimizer_step
 from xtf.numerics import ContractError
 from xtf.training import (
     TrainConfig,
@@ -646,6 +648,48 @@ def test_run_experiment_worker_dies_with_a_killed_parent(tmp_path):
 SHARE_MODEL = ModelConfig(d_model=16, n_layers=1, n_heads=2, d_ff=24, seed=3)
 
 
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="no glibc mallopt to keep the heap with")
+def test_training_rounds_on_a_steady_heap_fault_in_no_pages():
+    # with glibc's default thresholds every round frees its tape temporaries
+    # and faults them back in: ~1000 minor faults over these 20 rounds, ~1 kept
+    nm.steady_heap()
+    config = TrainConfig()
+    params = init(ModelConfig())
+    examples = [tokenize(r) for r in gen_synth("addition", 40, 0.3, 5)]
+    run = _runs(examples, params.config.max_seq)[0]
+    assert sum(len(ex.tokens) for ex in run) > 100
+    state = OptState()
+
+    def rounds(n):
+        for _ in range(n):
+            _, grad = packed_loss(params, run, [None] * len(run))
+            optimizer_step(params, grad, state, config.learning_rate, config.optimizer)
+
+    rounds(3)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    rounds(20)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
+_BASE_WITHOUT_STEADY_HEAP = f"""
+from xtf import numerics, training
+from xtf.model import ModelConfig
+numerics.steady_heap = lambda: None
+cfg = training.TrainConfig(learning_rate=3e-3, epochs=2, batch_size=16, seed=2)
+base = training.prepare_base({SHARE_MODEL!r}, cfg, 2, 2, task_size=40, background_size=16)
+print(base.fingerprint().hex())
+"""
+
+
+def test_prepare_base_is_bitwise_the_same_without_the_steady_heap():
+    # a fresh interpreter: the heap setting cannot be undone in this one
+    proc = subprocess.run([sys.executable, "-c", _BASE_WITHOUT_STEADY_HEAP], capture_output=True, text=True, env=_SRC_ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    cfg = TrainConfig(learning_rate=3e-3, epochs=2, batch_size=16, seed=2)
+    base = prepare_base(SHARE_MODEL, cfg, 2, 2, task_size=40, background_size=16)
+    assert proc.stdout == base.fingerprint().hex() + "\n"
+
+
 def _base_corpus(seed, n_task=40, n_background=16):
     corpus = gen_synth("addition", n_task, 0.97, seed) + gen_synth("symbol_noise", n_background, 0.0, seed + 1)
     return [tokenize(r) for r in corpus]
@@ -901,6 +945,8 @@ def test_train_raises_an_error_of_either_process_and_leaves_no_process(sides, tw
 def test_train_starts_no_process_on_one_core_or_when_no_batch_spans_two_runs(cores, batch_size, monkeypatch, no_fork):
     # four addition samples never fill SHARE_MODEL's 128 rows
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+    steadied = []
+    monkeypatch.setattr(nm, "steady_heap", lambda: steadied.append(True))
     examples = [tokenize(r) for r in gen_synth("addition", 40, 0.25, 2)]
     assert sum(sorted(len(ex.tokens) for ex in examples)[-4:]) <= SHARE_MODEL.max_seq
     cfg = TrainConfig(learning_rate=3e-3, epochs=2, batch_size=batch_size, seed=2)
@@ -909,3 +955,4 @@ def test_train_starts_no_process_on_one_core_or_when_no_batch_spans_two_runs(cor
     # the base's own corpus, whose four longest samples fit in one run too
     base = prepare_base(SHARE_MODEL, cfg, 1, 2, task_size=20, background_size=10)
     assert base.fingerprint() != init(SHARE_MODEL).fingerprint()
+    assert len(steadied) == 2  # `train` and `prepare_base` keep the heap steady without a worker too
