@@ -44,11 +44,16 @@ def _bool(text: str) -> bool:
     return text.lower() == "true"
 
 
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError("expected a non-negative integer")
-    return value
+def _at_least(low: int):
+    def integer(text: str) -> int:
+        if int(text) < low:  # argparse prints an ArgumentTypeError's message as it is
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text}")
+        return int(text)
+
+    return integer
+
+
+_count = _at_least(0)
 
 
 def _attributes(text: str) -> tuple[str, ...]:
@@ -95,7 +100,7 @@ def load_run_config(args) -> RunConfig:
             raise D.IngestionError(f"{path}: unknown config key {key!r}")
         try:
             parts[target][key] = CONFIG_SCHEMA[target][key](text)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise D.IngestionError(f"{path}: {key} = {text!r}: {exc}") from None
     experiment = parts["experiment"]
     missing = [k for k in SPLIT_KEYS if k not in experiment]
@@ -267,10 +272,10 @@ def cmd_run_experiment(args) -> int:
 # order, with "!" marking the ones it requires.
 FLAGS = {
     "--task": dict(default="addition", choices=D.CORPUS_TASKS),
-    "--size": dict(type=int, default=620),
+    "--size": dict(type=_count, default=620),
     "--noise-rate": dict(type=float, default=0.25),
     "--seed": dict(type=int, default=None),
-    "--bins": dict(type=int, default=64),
+    "--bins": dict(type=_at_least(1), default=64),
 }
 COMMANDS = {
     "gen-synth": (cmd_gen_synth, "generate a synthetic corpus with ground-truth noise flags",

@@ -213,9 +213,7 @@ def _causal_attention(
     blocks = []
     for a, b, i, j, mask in spans:
         scores = q3[:, i:j] @ k3[:, a:b].swapaxes(1, 2) * scale + mask
-        m = scores.max(axis=-1, keepdims=True)
-        e = np.exp(scores - m)
-        w = e / e.sum(axis=-1, keepdims=True)
+        w = nm.softmax_value(scores)
         ctx3[:, i:j] = w @ v3[:, a:b]
         blocks.append(w)
     out = Tensor(ctx3.swapaxes(0, 1).reshape(n, d))

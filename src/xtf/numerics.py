@@ -17,7 +17,7 @@ import os
 import signal
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -351,7 +351,7 @@ def balanced_cuts(sizes: Sequence[int], parts: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Process set-up shared by the worker processes of training and scoring.
+# Process set-up shared by the worker processes of training, scoring and theory.
 # ---------------------------------------------------------------------------
 
 
@@ -499,3 +499,23 @@ class Fork:
         if isinstance(message, Exception):
             raise message
         return message
+
+
+def _call(conn, fn: Callable, *args):
+    """`fn(*args)` in a `Fork` child that needs no message but its result."""
+    return fn(*args)
+
+
+def fan_out(fn: Callable, items: Sequence, sizes: Sequence[int], *args) -> list:
+    """`fn(piece, *args)` for each contiguous piece of `items` that
+    `balanced_cuts(sizes, available_cores())` gives, in piece order: this
+    process computes the first piece while a forked helper computes each
+    later one, all with BLAS at one thread. The error raised is the one a
+    plain loop would raise, and no helper outlives the call; one piece
+    starts no process (README, "Fanning out")."""
+    bounds = [0, *balanced_cuts(sizes, available_cores()), len(items)]
+    first, *rest = [items[a:b] for a, b in zip(bounds, bounds[1:])]
+    with one_blas_thread(), ExitStack() as stack:
+        helpers = [stack.enter_context(Fork(_call, fn, piece, *args)) for piece in rest]
+        own = fn(first, *args)
+        return [own, *(helper.recv() for helper in helpers)]

@@ -9,14 +9,13 @@ context-free embedding sits to the dataset centroid (task relevance).
 from __future__ import annotations
 
 import json
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import TokenizedExample, fmt_float, read_records, write_atomic
 from .model import ForwardTrace, InputError, ModelParams, forward
-from .numerics import Fork, available_cores, balanced_cuts, one_blas_thread, softmax_value
+from .numerics import fan_out, softmax_value
 
 RI_AGGS = ("mean", "sum", "last_layer_mean")
 DOMAIN_SOURCES = ("all_tokens", "unique_tokens")
@@ -164,7 +163,7 @@ def _validate_example(params: ModelParams, ex: TokenizedExample) -> str | None:
 
 
 def _score_slice(
-    params: ModelParams, examples: list[TokenizedExample], domain: DomainVector, ri_agg: str
+    examples: list[TokenizedExample], params: ModelParams, domain: DomainVector, ri_agg: str
 ) -> tuple[list[TokenScores], list[tuple[str, str]]]:
     """Scores of `examples`, one forward pass each from row l_input - 1 on,
     and the (id, message) of each example that could not be scored."""
@@ -183,11 +182,6 @@ def _score_slice(
     return scores, errors
 
 
-def _score_part(conn, params, examples, domain, ri_agg):
-    """`_score_slice` in a scoring helper, which needs no messages but its result."""
-    return _score_slice(params, examples, domain, ri_agg)
-
-
 def score_dataset(
     params: ModelParams,
     dataset: list[TokenizedExample],
@@ -201,14 +195,10 @@ def score_dataset(
 
     Invalid examples are skipped (collected with ids) rather than aborting
     the run; the domain vector is built over the valid subset. The frozen
-    params are never written to.
-
-    The valid examples are cut into contiguous slices of about equal token
-    counts, one per core this process may run on; forked helpers score all
-    but the last while this process scores the last, each with BLAS at one
-    thread. The result is bitwise that of one loop over the examples, and
-    no helper outlives the call. With one core or one valid example, no
-    process starts. An unknown `ri_agg` raises ValueError before any work.
+    params are never written to. The valid examples are scored in slices of
+    about equal token counts through `numerics.fan_out` (README, "Fanning
+    out"), bitwise one loop over them. An unknown `ri_agg` raises
+    ValueError before any work.
     """
     if ri_agg not in RI_AGGS:
         raise ValueError(f"ri_agg must be one of {', '.join(RI_AGGS)}, got {ri_agg!r}")
@@ -221,16 +211,7 @@ def score_dataset(
         else:
             errors.append((ex.id, problem))
     domain = compute_domain_vector(params, valid, domain_source, distance_metric)
-    bounds = [0, *balanced_cuts([len(ex.tokens) for ex in valid], available_cores()), len(valid)]
-    *forked, last = [valid[a:b] for a, b in zip(bounds, bounds[1:])]
-    with one_blas_thread(), ExitStack() as stack:
-        helpers = [stack.enter_context(Fork(_score_part, params, part, domain, ri_agg)) for part in forked]
-        try:
-            own = _score_slice(params, last, domain, ri_agg)
-        finally:
-            # a helper's error, on an earlier slice, wins over this process's as it would in one loop
-            parts = [helper.recv() for helper in helpers]
-    parts.append(own)
+    parts = fan_out(_score_slice, valid, [len(ex.tokens) for ex in valid], params, domain, ri_agg)
     scores = [s for part_scores, _ in parts for s in part_scores]
     errors += [e for _, part_errors in parts for e in part_errors]
     return ScoreResult(scores, domain, errors)

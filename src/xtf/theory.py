@@ -8,8 +8,8 @@ mixture gradients, under an SPD preconditioner (identity or a damped
 second-moment "Fisher" matrix) passed as a Geometry. A Geometry solves a
 (k, d) stack in one LAPACK call and the identity with none; the KN checks
 stack every context's softmax and products. Each stack's rows are bitwise
-the per-vector calls. With a second core, verify_theory runs its one-step
-and KN batches in a forked helper; with one, no process starts.
+the per-vector calls. verify_theory runs its check batches in two parts
+through `numerics.fan_out` (README, "Fanning out").
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import count, islice
 import numpy as np
 
 from .data import subseed
-from .numerics import Fork, available_cores, softmax_value
+from .numerics import fan_out, softmax_value
 
 
 class GeometryError(ValueError):
@@ -586,25 +586,18 @@ def _step_and_kn_checks(seed: int):
     yield "kn_fisher_contribution_bounds", 100, worst, worst <= 1e-9
 
 
-def _run_part(conn, part, seed: int) -> list[tuple]:
-    """A part's rows, in a Fork helper (`conn` goes unused)."""
-    return list(part(seed))
+def _checks(parts, seed: int) -> list[dict]:
+    """The report entries of the check batches `parts`, in order."""
+    rows = (row for part in parts for row in part(seed))
+    return [{"name": name, "instances": n, "max_violation": worst, "pass": bool(ok)} for name, n, worst, ok in rows]
 
 
 def verify_theory(seed: int = 0) -> dict:
     """Run every check batch; returns per-check instance counts, the largest
-    violation seen, and pass flags.
-
-    With two available cores or more, a forked helper runs the one-step and
-    KN batches while this process runs the others, and no process outlives
-    the call. The report and any error are those of one loop over the
-    batches: this process's batches come first, so their errors win."""
-    if available_cores() < 2:
-        rows = [*_alignment_checks(seed), *_step_and_kn_checks(seed)]
-    else:
-        with Fork(_run_part, _step_and_kn_checks, seed) as helper:
-            rows = [*_alignment_checks(seed), *helper.recv()]
-    checks = [{"name": name, "instances": n, "max_violation": worst, "pass": bool(ok)} for name, n, worst, ok in rows]
+    violation seen, and pass flags. The batches run in two parts through
+    `numerics.fan_out` (README, "Fanning out"), so the report and any
+    error are those of one loop over them."""
+    checks = [c for part in fan_out(_checks, [_alignment_checks, _step_and_kn_checks], [1, 1], seed) for c in part]
     return {"seed": seed, "checks": checks, "all_pass": all(c["pass"] for c in checks)}
 
 

@@ -283,6 +283,26 @@ def test_cli_unknown_flag_exits_1(capsys):
     assert _run(["gen-synth", "--no-such-flag"]) == 1
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["gen-synth", "--size", "-5", "--out", "d.jsonl"], "--size: expected an integer >= 0, got -5"),
+        (["report", "--scores", "s.jsonl", "--masks", "m.jsonl", "--bins", "0", "--out-dir", "r"],
+         "--bins: expected an integer >= 1, got 0"),
+    ],
+    ids=["negative-size", "zero-bins"],
+)
+def test_cli_rejects_an_out_of_range_count_while_parsing(args, message, tmp_path, monkeypatch, capsys):
+    # an empty scores file made `--bins 0` pass, and `--size -5` wrote an empty dataset
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.jsonl").write_text("")
+    (tmp_path / "m.jsonl").write_text("")
+    assert _run(args) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    assert errors == [f"error: argument {message}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl", "s.jsonl"]
+
+
 def test_cli_ctrl_c_exits_130_with_one_line(tmp_path, monkeypatch, capsys):
     def interrupted(*args):
         raise KeyboardInterrupt

@@ -1,6 +1,7 @@
 import math
 import os
 import signal
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_ops as ref
+from conftest import _children, fork_only
 from reference_ops import finite_diff_check
 from xtf import numerics as nm
 from xtf.numerics import ContractError, GradientTape, ShapeError, Tensor
@@ -371,3 +373,101 @@ def test_steady_heap_sets_the_two_thresholds_and_is_a_no_op_without_mallopt(monk
         monkeypatch.setattr(nm.ctypes, "CDLL", lambda name: libc)
         assert nm.steady_heap.__wrapped__() is None  # the undecorated body: this process has run it already
         assert calls == expected
+
+
+# ---------------------------------------------------------------------------
+# fan_out: the pieces of a plain loop, the first here and the rest forked
+# ---------------------------------------------------------------------------
+
+
+def _use_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _pid_and_piece(piece, tag):
+    return os.getpid(), tag, list(piece)
+
+
+@fork_only
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_fan_out_returns_the_pieces_in_order_the_first_computed_here(cores, monkeypatch):
+    _use_cores(monkeypatch, cores)
+    items, sizes = list("abcdefg"), [5, 1, 1, 2, 2, 1, 3]
+    bounds = [0, *nm.balanced_cuts(sizes, cores), len(items)]
+    assert len(bounds) == cores + 1  # one piece per core
+    results = nm.fan_out(_pid_and_piece, items, sizes, "t")
+    assert [(tag, piece) for _, tag, piece in results] == [("t", items[a:b]) for a, b in zip(bounds, bounds[1:])]
+    pids = [pid for pid, _, _ in results]
+    assert pids[0] == os.getpid() and len(set(pids)) == cores
+    assert _children() == []
+
+
+def _failing_piece(piece, parent_pid, failing, delay):
+    """Sleep `delay` s in a helper, then raise if the piece starts with an
+    item in `failing`."""
+    if os.getpid() != parent_pid:
+        time.sleep(delay)
+    if piece[0] in failing:
+        raise RuntimeError(f"piece {piece[0]}")
+    return piece
+
+
+@fork_only
+def test_fan_out_raises_the_first_pieces_error_at_once_and_leaves_no_process(monkeypatch):
+    _use_cores(monkeypatch, 3)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="piece 0"):
+        nm.fan_out(_failing_piece, [0, 1, 2], [1, 1, 1], os.getpid(), {0, 1, 2}, 60.0)
+    assert time.monotonic() - start < 30  # the helpers were not waited for
+    assert _children() == []
+
+
+@fork_only
+def test_fan_out_raises_an_earlier_helpers_error_over_a_later_ones(monkeypatch):
+    # piece 2 fails first in time; piece 1 comes first in the loop
+    _use_cores(monkeypatch, 3)
+    parent_pid = os.getpid()
+
+    def later_first(piece):
+        return _failing_piece(piece, parent_pid, {1, 2}, 0.3 if piece[0] == 1 else 0.0)
+
+    with pytest.raises(RuntimeError, match="piece 1"):
+        nm.fan_out(later_first, [0, 1, 2], [1, 1, 1])
+    assert _children() == []
+
+
+def _dying_piece(piece, parent_pid):
+    if os.getpid() != parent_pid:
+        os._exit(3)
+    return piece
+
+
+@fork_only
+def test_a_helper_that_dies_makes_fan_out_raise_with_its_exit_code(monkeypatch):
+    _use_cores(monkeypatch, 2)
+    with pytest.raises(ChildProcessError, match="code 3"):
+        nm.fan_out(_dying_piece, [0, 1], [1, 1], os.getpid())
+    assert _children() == []
+
+
+@pytest.mark.parametrize("cores, n_items", [(1, 5), (3, 1)], ids=["one-core", "one-piece"])
+def test_fan_out_on_one_core_or_one_piece_starts_no_process(cores, n_items, monkeypatch, no_fork):
+    _use_cores(monkeypatch, cores)
+    items = list(range(n_items))
+    assert nm.fan_out(_pid_and_piece, items, [1] * n_items, "t") == [(os.getpid(), "t", items)]
+
+
+@fork_only
+def test_fan_out_holds_blas_at_one_thread_and_restores_it(monkeypatch):
+    threads = nm._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy does not link OpenBLAS here")
+    get, set_ = threads
+    _use_cores(monkeypatch, 2)
+    before = get()
+    set_(2)
+    try:
+        assert nm.fan_out(lambda piece: get(), [0, 1], [1, 1]) == [1, 1]
+        assert get() == 2
+    finally:
+        set_(before)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import TINY, _children, fork_only, randomize_params
-from xtf import scoring
+from xtf import numerics as nm, scoring
 from xtf.data import TokenizedExample, gen_synth, tokenize
 from xtf.model import InputError, ModelConfig, init, forward
 from xtf.numerics import ContractError, balanced_cuts, one_blas_thread, softmax_value
@@ -175,7 +175,7 @@ def test_label_row_scores_equal_the_full_pass(agg, trained, trained_corpus):
         params = randomize_params(init(TINY), seed=21)
         dataset = _random_dataset(22, n=40) + _edge_examples(TINY, np.random.default_rng(23))
     domain = compute_domain_vector(params, dataset)
-    scores, errors = scoring._score_slice(params, dataset, domain, agg)
+    scores, errors = scoring._score_slice(dataset, params, domain, agg)
     assert errors == [] and len(scores) == len(dataset)
     for ex, got in zip(dataset, scores):
         trace, n_out = forward(params, ex.tokens), len(ex.output_ids)
@@ -457,14 +457,14 @@ def three_cores(monkeypatch):
 
 
 def test_token_slices_balance_tokens_and_are_never_empty(monkeypatch):
-    # the slices score_dataset hands its helpers and itself, seen in one
-    # process: a helper runs in place and a slice is scored as nothing
+    # the slices score_dataset hands itself and its helpers, seen in one
+    # process: a helper runs in place when read and a slice is scored as nothing
     params = init(dataclasses.replace(TINY, max_seq=64))
     slices = []
 
     class InlineFork:
         def __init__(self, fn, *args):
-            self._result = fn(None, *args)
+            self._fn, self._args = fn, args
 
         def __enter__(self):
             return self
@@ -473,13 +473,13 @@ def test_token_slices_balance_tokens_and_are_never_empty(monkeypatch):
             return None
 
         def recv(self):
-            return self._result
+            return self._fn(None, *self._args)
 
-    def record(params, examples, domain, ri_agg):
+    def record(examples, params, domain, ri_agg):
         slices.append(len(examples))
         return [], []
 
-    monkeypatch.setattr(scoring, "Fork", InlineFork)
+    monkeypatch.setattr(nm, "Fork", InlineFork)
     monkeypatch.setattr(scoring, "_score_slice", record)
 
     def slice_sizes(lengths, cores):
@@ -564,7 +564,7 @@ def test_an_unknown_ri_agg_raises_before_any_work(two_cores, no_fork, monkeypatc
 @fork_only
 @pytest.mark.parametrize("side", ["helper", "parent", "both"])
 def test_split_scoring_reraises_an_error_and_leaves_no_process(side, three_cores, monkeypatch):
-    # a helper's error, on an earlier slice, wins over this process's
+    # this process scores the first slice, so its error wins over a helper's
     parent_pid = os.getpid()
     plain_forward = scoring.forward
 
@@ -576,7 +576,7 @@ def test_split_scoring_reraises_an_error_and_leaves_no_process(side, three_cores
 
     monkeypatch.setattr(scoring, "forward", failing_forward)
     params = randomize_params(init(TINY), seed=9)
-    with pytest.raises(RuntimeError, match="in the parent" if side == "parent" else "in the helper"):
+    with pytest.raises(RuntimeError, match="in the helper" if side == "helper" else "in the parent"):
         score_dataset(params, _random_dataset(6))
     assert multiprocessing.active_children() == [] and _children() == []
 
