@@ -112,6 +112,20 @@ def strip_noise(example: TokenizedExample) -> TokenizedExample:
     return TokenizedExample(example.id, list(example.input_ids), out, [False] * len(out))
 
 
+def packs(examples: list[TokenizedExample], rows: int) -> list[list[TokenizedExample]]:
+    """Cut `examples`, in order, into packs of consecutive examples that fit
+    in `rows` rows together; a longer example alone is a pack of its own."""
+    out: list[list[TokenizedExample]] = []
+    used = 0
+    for ex in examples:
+        if not out or used + len(ex.tokens) > rows:
+            out.append([])
+            used = 0
+        out[-1].append(ex)
+        used += len(ex.tokens)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Synthetic corpora
 # ---------------------------------------------------------------------------

@@ -153,20 +153,22 @@ def init(config: ModelConfig) -> ModelParams:
 def _check_tokens(config: ModelConfig, tokens, lengths=None) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
     """Validated ids plus the (start, end) rows of each packed sequence.
 
-    A packed stream obeys the single-sequence limits: at most `max_seq` rows
-    in all, every sequence non-empty, every id in the vocabulary."""
+    Every sequence is non-empty and at most `max_seq` long, every id is in
+    the vocabulary, and a taped stream, to bound its tape, has at most
+    `max_seq` rows in all."""
     ids = np.asarray(tokens, dtype=np.intp)
     if ids.ndim != 1 or ids.size == 0:
         raise InputError("tokens must be a non-empty 1-D sequence")
-    if ids.size > config.max_seq:
-        raise InputError(f"sequence length {ids.size} exceeds max_seq {config.max_seq}")
-    if ids.min() < 0 or ids.max() >= config.vocab_size:
-        raise InputError(f"token id out of vocabulary (vocab_size={config.vocab_size})")
-    if lengths is None:
-        return ids, ((0, ids.size),)
+    lengths = [ids.size] if lengths is None else list(lengths)
     ends = np.cumsum(lengths)
     if len(ends) == 0 or min(lengths) < 1 or ends[-1] != ids.size:
-        raise InputError(f"packed lengths {list(lengths)} do not partition {ids.size} tokens")
+        raise InputError(f"packed lengths {lengths} do not partition {ids.size} tokens")
+    if max(lengths) > config.max_seq:
+        raise InputError(f"sequence length {max(lengths)} exceeds max_seq {config.max_seq}")
+    if ids.size > config.max_seq and nm.GradientTape.current() is not None:
+        raise InputError(f"a taped stream of {ids.size} rows exceeds max_seq {config.max_seq}")
+    if ids.min() < 0 or ids.max() >= config.vocab_size:
+        raise InputError(f"token id out of vocabulary (vocab_size={config.vocab_size})")
     return ids, tuple(zip((0, *ends[:-1].tolist()), ends.tolist()))
 
 
@@ -241,7 +243,7 @@ def forward_tensors(params: ModelParams, tokens, lengths=None, rows=None) -> tup
 
     With `lengths`, `tokens` is several sequences concatenated without
     padding; each starts at position 0 and attends only within itself, so
-    its rows of the result are those of its own forward pass.
+    its rows of the result are those of its own forward pass up to rounding.
 
     With `rows`, strictly increasing rows of `tokens`, the logits are those
     rows' alone (and equal the full pass's up to rounding): every row still

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .data import EOS_ID, TokenizedExample, gen_synth, split_records, strip_noise, subseed, tokenize
+from .data import EOS_ID, TokenizedExample, gen_synth, packs, split_records, strip_noise, subseed, tokenize
 from .filtering import FilterConfig, NoiseMask, apply_filters, complementarity_report, filter_quality
 from .model import (
     OPTIMIZERS,
@@ -115,9 +115,9 @@ def evaluate(params: ModelParams, eval_set: list[TokenizedExample]) -> float:
     Decoding that stops at the first token differing from the target only
     ever feeds the input plus a prefix of the target. So an example is right
     exactly when one pass over input + target predicts the target, then EOS,
-    at its label rows: scoring's pass from row l_input - 1, which equals the
-    prefix passes up to rounding. An example that does not fit is wrong
-    without a pass. The pass stops before a target id outside the
+    at its label rows: a pass from row l_input - 1, as scoring runs, which
+    equals the prefix passes up to rounding. An example that does not fit
+    is wrong without a pass. The pass stops before a target id outside the
     vocabulary, which decoding never emits: too few rows make the example
     wrong, and a bad input still raises InputError."""
     if not eval_set:
@@ -140,21 +140,6 @@ class TrainResult:
     log: list[dict] = field(default_factory=list)
     best_epoch: int = 0
     best_val_acc: float = 0.0
-
-
-def _runs(batch: list[TokenizedExample], max_seq: int) -> list[list[TokenizedExample]]:
-    """Cut a batch, in order, into runs of consecutive examples that fit in
-    `max_seq` rows together, so one run costs no more activation memory than
-    one maximum-length sequence."""
-    runs: list[list[TokenizedExample]] = []
-    rows = 0
-    for ex in batch:
-        if not runs or rows + len(ex.tokens) > max_seq:
-            runs.append([])
-            rows = 0
-        runs[-1].append(ex)
-        rows += len(ex.tokens)
-    return runs
 
 
 def _check_loss(loss: float, run: tuple) -> None:
@@ -189,16 +174,17 @@ def _epoch_pass(
 ) -> float:
     """One shuffled epoch of batched updates; returns mean per-sample loss.
 
-    Each batch is packed into runs of up to `max_seq` rows with one taped
-    pass each; the update uses the summed gradient over the batch size, the
-    mean of the per-sample gradients. A `worker` holding `params` computes a
-    share of each batch (`_ShareWorker.gradient_sum`), bitwise the same."""
+    Each batch is packed into runs of up to `max_seq` rows, the cap on a
+    tape, with one taped pass each; the update uses the summed gradient over
+    the batch size, the mean of the per-sample gradients. A `worker` holding
+    `params` computes a share of each batch (`_ShareWorker.gradient_sum`),
+    bitwise the same."""
     order = rng.permutation(len(examples))
     total_loss = 0.0
     for start in range(0, len(order), config.batch_size):
         batch = [examples[i] for i in order[start : start + config.batch_size]]
         runs = [
-            (run, [masks.get(ex.id) if masks else None for ex in run]) for run in _runs(batch, params.config.max_seq)
+            (run, [masks.get(ex.id) if masks else None for ex in run]) for run in packs(batch, params.config.max_seq)
         ]
         losses, acc = worker.gradient_sum(params, runs) if worker else _gradient_sum(params, runs)
         for loss in losses:

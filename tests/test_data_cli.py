@@ -592,6 +592,19 @@ def test_cli_idempotent_stage_outputs(tmp_path):
     assert scores1.read_bytes() == scores2.read_bytes()
 
 
+def test_cli_score_with_no_valid_example_names_the_first_reason(tmp_path, capsys):
+    # two examples of 150 + 11 + EOS = 162 tokens, over the default max_seq 128
+    data, out = tmp_path / "data.jsonl", tmp_path / "scores.jsonl"
+    records = [{"id": name, "input_text": "1" * 150, "output_text": "2" * 11} for name in ("first", "second")]
+    data.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert _run(["score", "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: no example to score: 2 skipped, the first, 'first': sequence length 162 exceeds max_seq 128\n"
+    )
+    assert not out.exists()
+
+
 def test_cli_score_split_and_serial_write_the_same_bytes(tmp_path, monkeypatch):
     # twice split over three processes, then in this process alone
     data = tmp_path / "data.jsonl"
@@ -615,7 +628,7 @@ def test_cli_a_dead_worker_exits_1_with_one_line(command, tmp_path, monkeypatch,
     cfg = tmp_path / "run.cfg"
     cfg.write_text("d_model = 16\nn_layers = 1\nn_heads = 2\nd_ff = 24\nepochs = 2\n")
     parent_pid = os.getpid()
-    module, name = (scoring, "forward") if command == "score" else (training, "packed_loss")
+    module, name = (scoring, "forward_tensors") if command == "score" else (training, "packed_loss")
     plain = getattr(module, name)
 
     def dying(*args):

@@ -33,7 +33,7 @@ from xtf.model import (
     param_shapes,
     save_checkpoint,
 )
-from xtf.numerics import Tensor
+from xtf.numerics import GradientTape, Tensor
 from xtf.training import masked_loss
 
 
@@ -97,6 +97,25 @@ def test_forward_rejects_bad_inputs(tiny_params):
         forward(tiny_params, [TINY.vocab_size])
     with pytest.raises(InputError):
         forward(tiny_params, list(range(TINY.max_seq + 1)))
+
+
+def test_an_untaped_stream_may_exceed_max_seq_but_no_sequence_may(tiny_generic_params):
+    # scoring packs many sequences into one untaped stream; a tape keeps the
+    # max_seq cap on the whole stream, and each message names its own limit
+    lengths = [TINY.max_seq, 9, TINY.max_seq - 1, 5]  # 41 rows
+    tokens = np.random.default_rng(31).integers(0, TINY.vocab_size, sum(lengths)).tolist()
+    logits, _ = forward_tensors(tiny_generic_params, tokens, lengths)
+    ends = np.cumsum(lengths).tolist()
+    for a, b in zip([0, *ends[:-1]], ends):
+        own = forward(tiny_generic_params, tokens[a:b]).logits
+        np.testing.assert_allclose(logits.value[a:b], own, rtol=0, atol=1e-12)
+    too_long = f"^sequence length {TINY.max_seq + 1} exceeds max_seq {TINY.max_seq}$"
+    with pytest.raises(InputError, match=too_long):
+        forward_tensors(tiny_generic_params, tokens[: TINY.max_seq + 4], [3, TINY.max_seq + 1])
+    with GradientTape(), pytest.raises(InputError, match=too_long):
+        forward_tensors(tiny_generic_params, tokens[: TINY.max_seq + 1])
+    with GradientTape(), pytest.raises(InputError, match=f"^a taped stream of 41 rows exceeds max_seq {TINY.max_seq}$"):
+        forward_tensors(tiny_generic_params, tokens, lengths)
 
 
 def test_forward_pure_function_bitwise(tiny_params):

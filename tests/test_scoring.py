@@ -1,6 +1,7 @@
 import dataclasses
 import multiprocessing
 import os
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,13 +9,14 @@ import pytest
 
 from conftest import TINY, _children, fork_only, randomize_params
 from xtf import numerics as nm, scoring
-from xtf.data import TokenizedExample, gen_synth, tokenize
-from xtf.model import InputError, ModelConfig, init, forward
+from xtf.data import TokenizedExample, gen_synth, packs, tokenize
+from xtf.model import InputError, ModelConfig, init, forward, forward_tensors
 from xtf.numerics import ContractError, balanced_cuts, one_blas_thread, softmax_value
 from xtf.training import TrainConfig, prepare_base
 from xtf.scoring import (
     DISTANCE_METRICS,
     DOMAIN_SOURCES,
+    PACK_ROWS,
     RI_AGGS,
     SCORE_KEYS,
     ConsistencyError,
@@ -166,25 +168,39 @@ def trained_corpus():
 @pytest.mark.parametrize("agg", RI_AGGS)
 @pytest.mark.parametrize("trained", [False, True], ids=["random", "trained"])
 def test_label_row_scores_equal_the_full_pass(agg, trained, trained_corpus):
-    """Scoring runs the last block from row l_input - 1 on; its s_ri, s_kn
-    and pcp match pooling over a full forward pass within 1e-12 absolute,
-    the bench oracle's tolerance, and bitwise when l_input is 1."""
+    """Scoring packs examples into one forward whose last block runs from
+    each example's row l_input - 1 on; its s_ri, s_kn and pcp match pooling
+    over a full forward pass, and the per-example label-row pass, within
+    1e-12 absolute, the bench oracle's tolerance. A one-example pack with
+    l_input 1 is the full pass, bitwise."""
     if trained:
         params, dataset = trained_corpus
     else:
         params = randomize_params(init(TINY), seed=21)
         dataset = _random_dataset(22, n=40) + _edge_examples(TINY, np.random.default_rng(23))
     domain = compute_domain_vector(params, dataset)
-    scores, errors = scoring._score_slice(dataset, params, domain, agg)
+    scores, errors = scoring._score_packs(packs(dataset, PACK_ROWS), params, domain, agg)
     assert errors == [] and len(scores) == len(dataset)
+    assert len(packs(dataset, PACK_ROWS)) == (3 if trained else 1)
     for ex, got in zip(dataset, scores):
-        trace, n_out = forward(params, ex.tokens), len(ex.output_ids)
-        pcp = softmax_value(trace.logits, axis=-1)[ex.l_input - 1 + np.arange(n_out), ex.output_ids]
-        want = (_ri_by_mean(trace.attention, ex.l_input, n_out, agg), pcp, 1.0 - pcp)
-        for key, value in zip(("s_ri", "pcp", "s_kn"), want):
-            if ex.l_input == 1:
-                assert getattr(got, key).tobytes() == value.tobytes(), (ex.id, key)
-            np.testing.assert_allclose(getattr(got, key), value, rtol=0, atol=1e-12, err_msg=f"{ex.id} {key}")
+        n_out, rows = len(ex.output_ids), ex.l_input - 1 + np.arange(len(ex.output_ids))
+        full, label_rows = forward(params, ex.tokens), forward(params, ex.tokens, ex.l_input - 1)
+        pcp_full = softmax_value(full.logits, axis=-1)[rows, ex.output_ids]
+        pcp_rows = softmax_value(label_rows.logits, axis=-1)[rows - label_rows.first, ex.output_ids]
+        wants = {
+            "full": (_ri_by_mean(full.attention, ex.l_input, n_out, agg), pcp_full),
+            "label-row": (_ri_from_trace(label_rows, ex.l_input, n_out, agg), pcp_rows),
+        }
+        for name, (s_ri, pcp) in wants.items():
+            for key, value in zip(("s_ri", "pcp", "s_kn"), (s_ri, pcp, 1.0 - pcp)):
+                np.testing.assert_allclose(
+                    getattr(got, key), value, rtol=0, atol=1e-12, err_msg=f"{ex.id} {key} against the {name} pass"
+                )
+        if ex.l_input == 1:
+            (alone,), _ = scoring._score_packs([[ex]], params, domain, agg)
+            s_ri, pcp = wants["full"]
+            for key, value in zip(("s_ri", "pcp", "s_kn"), (s_ri, pcp, 1.0 - pcp)):
+                assert getattr(alone, key).tobytes() == value.tobytes(), (ex.id, key)
 
 
 def test_domain_vector_single_token_dataset(tiny_params):
@@ -283,6 +299,29 @@ def test_score_tr_missing_token_raises():
     domain = DomainVector(np.zeros(2), {0: 1.0}, 1.0, 1.0)
     with pytest.raises(ConsistencyError):
         score_tr(domain, _example([0], [5]))
+
+
+@pytest.mark.parametrize("metric", DISTANCE_METRICS)
+def test_domain_counts_and_s_tr_are_bitwise_the_per_token_loops(metric):
+    # the bincount and the one lookup-and-clip replace loops over every token
+    params = randomize_params(init(TINY), seed=41)
+    dataset = _random_dataset(42, n=60)
+    domain = compute_domain_vector(params, dataset, metric=metric)
+    counts = np.zeros(TINY.vocab_size, dtype=np.int64)
+    for ex in dataset:
+        for tid in ex.tokens:
+            counts[tid] += 1
+    present = np.nonzero(counts)[0]
+    table = params["tok_emb"].value
+    assert domain.centroid.tobytes() == ((counts[present].astype(np.float64) @ table[present]) / counts.sum()).tobytes()
+    span = domain.d_max - domain.d_min
+    for ex in dataset:
+        want = [min(1.0, max(0.0, 1.0 - (domain.token_distances[t] - domain.d_min) / span)) for t in ex.output_ids]
+        assert score_tr(domain, ex).tobytes() == np.array(want).tobytes(), ex.id
+    with pytest.raises(ConsistencyError, match=r"^example 'gap': token 3 missing from the domain table \(scores"):
+        score_tr(DomainVector(np.zeros(2), {1: 0.5, 2: 1.5}, 0.5, 1.5), _example([1], [2, 3, 4, 1], "gap"))
+    for bad in (_example([1, -1], [2]), _example([1], [TINY.vocab_size])):
+        assert scoring._validate_example(params, bad) == "token id outside the model vocabulary"
 
 
 def test_cosine_metric(tiny_params):
@@ -397,12 +436,28 @@ def test_load_scores_rejects_malformed_files(tmp_path, tiny_params, mangle):
 
 
 # ---------------------------------------------------------------------------
-# Scoring split across processes: bitwise the one loop, and no process left
+# Packed scoring split across processes: bitwise one loop over the packs, and
+# no process left
 # ---------------------------------------------------------------------------
 
 
+def test_packs_are_ordered_non_empty_and_at_most_pack_rows_unless_one_example_is_longer():
+    lengths = np.random.default_rng(40).choice([1, 2, 7, 60, 128, 300, 511, 512, 513, 700], size=400).tolist()
+    dataset = [_example([1] * (n - 1), [2], f"p{i}") for i, n in enumerate(lengths)]
+    cut = packs(dataset, PACK_ROWS)
+    assert [ex for pack in cut for ex in pack] == dataset
+    rows = [sum(len(ex.tokens) for ex in pack) for pack in cut]
+    assert all(pack and (n <= PACK_ROWS or len(pack) == 1) for pack, n in zip(cut, rows))
+    # consecutive fit: each pack starts with an example that did not fit in the one before
+    assert all(n + len(pack[0].tokens) > PACK_ROWS for n, pack in zip(rows, cut[1:]))
+    assert max(rows) > PACK_ROWS and max(map(len, cut)) > 2
+    assert packs([], PACK_ROWS) == []
+
+
 def _serial_scores(params, dataset, ri_agg="mean", domain_source="all_tokens", distance_metric="euclidean"):
-    """`score_dataset` as one loop over the examples, in this process."""
+    """`score_dataset` as one loop over its packs, in this process: each
+    example's label rows and attention blocks picked out of one forward per
+    pack."""
     errors, valid = [], []
     for ex in dataset:
         problem = scoring._validate_example(params, ex)
@@ -413,16 +468,26 @@ def _serial_scores(params, dataset, ri_agg="mean", domain_source="all_tokens", d
     domain = compute_domain_vector(params, valid, domain_source, distance_metric)
     scores = []
     with one_blas_thread():
-        for ex in valid:
-            try:
-                trace = forward(params, ex.tokens, ex.l_input - 1)
+        for pack in packs(valid, PACK_ROWS):
+            lengths = [len(ex.tokens) for ex in pack]
+            owner = np.repeat(np.arange(len(pack)), lengths)
+            position = np.concatenate([np.arange(n) for n in lengths])
+            label = position >= np.repeat([ex.l_input - 1 for ex in pack], lengths)
+            logits, blocks = forward_tensors(
+                params, [t for ex in pack for t in ex.tokens], lengths, np.flatnonzero(label)
+            )
+            for i, ex in enumerate(pack):
+                first = ex.l_input - 1
+                attention = np.stack([layer[i][:, first - lengths[i] :] for layer in blocks])
+                trace = scoring.ForwardTrace(logits.value[owner[label] == i], attention, first)
+                try:
+                    s_tr = scoring.score_tr(domain, ex)
+                except ConsistencyError as exc:
+                    errors.append((ex.id, str(exc)))
+                    continue
                 s_ri = _ri_from_trace(trace, ex.l_input, len(ex.output_ids), ri_agg)
                 pcp, s_kn = _kn_from_trace(trace, ex)
-                s_tr = scoring.score_tr(domain, ex)
-            except (InputError, ConsistencyError) as exc:
-                errors.append((ex.id, str(exc)))
-                continue
-            scores.append(scoring.TokenScores(ex.id, s_ri, s_kn, s_tr, pcp))
+                scores.append(scoring.TokenScores(ex.id, s_ri, s_kn, s_tr, pcp))
     return scoring.ScoreResult(scores, domain, errors)
 
 
@@ -450,6 +515,10 @@ def _random_dataset(seed, n=24):
     ]
 
 
+def _pack_sizes(dataset):
+    return [sum(len(ex.tokens) for ex in pack) for pack in packs(dataset, PACK_ROWS)]
+
+
 @pytest.fixture
 def three_cores(monkeypatch):
     """Three cores to split over, whatever this machine has: two helpers."""
@@ -457,9 +526,9 @@ def three_cores(monkeypatch):
 
 
 def test_token_slices_balance_tokens_and_are_never_empty(monkeypatch):
-    # the slices score_dataset hands itself and its helpers, seen in one
+    # the packs score_dataset hands itself and its helpers, seen in one
     # process: a helper runs in place when read and a slice is scored as nothing
-    params = init(dataclasses.replace(TINY, max_seq=64))
+    params = init(dataclasses.replace(TINY, max_seq=PACK_ROWS))
     slices = []
 
     class InlineFork:
@@ -475,12 +544,12 @@ def test_token_slices_balance_tokens_and_are_never_empty(monkeypatch):
         def recv(self):
             return self._fn(None, *self._args)
 
-    def record(examples, params, domain, ri_agg):
-        slices.append(len(examples))
+    def record(pack_list, params, domain, ri_agg):
+        slices.append([len(pack) for pack in pack_list])
         return [], []
 
     monkeypatch.setattr(nm, "Fork", InlineFork)
-    monkeypatch.setattr(scoring, "_score_slice", record)
+    monkeypatch.setattr(scoring, "_score_packs", record)
 
     def slice_sizes(lengths, cores):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
@@ -488,16 +557,16 @@ def test_token_slices_balance_tokens_and_are_never_empty(monkeypatch):
         score_dataset(params, [_example([1] * (n - 1), [2], f"r{i}") for i, n in enumerate(lengths)])
         return slices.copy()
 
-    even = (10, 10, 10, 10, 10, 10)
-    assert slice_sizes(even, 1) == [6]
-    assert slice_sizes(even, 2) == [3, 3]
-    assert slice_sizes(even, 3) == [2, 2, 2]
-    uneven = (50, 5, 5, 5, 5)
-    assert slice_sizes(uneven, 2) == [1, 4]
-    # the first example holds more than two thirds of the tokens, so both
-    # cuts fall after it and two slices remain
-    assert slice_sizes(uneven, 3) == [1, 4]
-    assert slice_sizes(even[:1], 4) == [1]
+    alone = (300,) * 6  # no two share a pack
+    assert slice_sizes(alone, 1) == [[1] * 6]
+    assert slice_sizes(alone, 2) == [[1] * 3] * 2
+    assert slice_sizes(alone, 3) == [[1] * 2] * 3
+    assert slice_sizes((64,) * 16, 2) == [[8], [8]]  # eight fill a pack
+    uneven = (500, 50, 50, 50, 50)  # packs of 500 and 200 rows
+    assert slice_sizes(uneven, 2) == [[1], [4]]
+    # two packs make two slices, however many cores
+    assert slice_sizes(uneven, 3) == [[1], [4]]
+    assert slice_sizes(alone[:1], 4) == [[1]]
 
 
 @pytest.mark.parametrize("distance_metric", DISTANCE_METRICS)
@@ -505,10 +574,20 @@ def test_token_slices_balance_tokens_and_are_never_empty(monkeypatch):
 @pytest.mark.parametrize("ri_agg", RI_AGGS)
 def test_split_scoring_is_bitwise_the_serial_loop(ri_agg, domain_source, distance_metric, three_cores):
     params = randomize_params(init(TINY), seed=5)
-    dataset = _random_dataset(3)
+    dataset = _random_dataset(3, n=300)
     kwargs = dict(ri_agg=ri_agg, domain_source=domain_source, distance_metric=distance_metric)
-    assert len(balanced_cuts([len(ex.tokens) for ex in dataset], 3)) == 2  # three slices
+    assert len(balanced_cuts(_pack_sizes(dataset), 3)) == 2  # three slices
     _assert_same_result(score_dataset(params, dataset, **kwargs), _serial_scores(params, dataset, **kwargs))
+    assert multiprocessing.active_children() == [] and _children() == []
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_packed_scoring_is_bitwise_the_serial_pack_loop_on_any_core_count(cores, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    params = randomize_params(init(TINY), seed=11)
+    dataset = _random_dataset(12, n=300)
+    assert len(_pack_sizes(dataset)) >= 4
+    _assert_same_result(score_dataset(params, dataset), _serial_scores(params, dataset))
     assert multiprocessing.active_children() == [] and _children() == []
 
 
@@ -517,12 +596,12 @@ def test_split_scoring_keeps_the_errors_and_their_order(three_cores, monkeypatch
     # invalid examples interleaved (caught before the split), and examples
     # in every slice that fail while scored (caught in the slice)
     params = randomize_params(init(TINY), seed=6)
-    dataset = _random_dataset(4, n=30)
+    dataset = _random_dataset(4, n=300)
     dataset[2] = _example([1] * TINY.max_seq, [3], "too-long")
-    dataset[9] = _example([1, 2], [TINY.vocab_size], "out-of-vocab")
-    dataset[17] = _example([], [4], "empty-input")
-    dataset[25] = _example([3], [], "empty-label")
-    failing = {"r1", "r14", "r28"}
+    dataset[90] = _example([1, 2], [TINY.vocab_size], "out-of-vocab")
+    dataset[170] = _example([], [4], "empty-input")
+    dataset[250] = _example([3], [], "empty-label")
+    failing = {"r1", "r140", "r280"}
     plain_score_tr = scoring.score_tr
 
     def failing_score_tr(domain, example):
@@ -531,14 +610,14 @@ def test_split_scoring_keeps_the_errors_and_their_order(three_cores, monkeypatch
         return plain_score_tr(domain, example)
 
     monkeypatch.setattr(scoring, "score_tr", failing_score_tr)
-    valid = [ex for ex in dataset if scoring._validate_example(params, ex) is None]
-    bounds = [0, *balanced_cuts([len(ex.tokens) for ex in valid], 3), len(valid)]
+    pack_list = packs([ex for ex in dataset if scoring._validate_example(params, ex) is None], PACK_ROWS)
+    bounds = [0, *balanced_cuts(_pack_sizes([ex for pack in pack_list for ex in pack]), 3), len(pack_list)]
     assert len(bounds) == 4 and all(
-        any(ex.id in failing for ex in valid[start:stop]) for start, stop in zip(bounds, bounds[1:])
+        any(ex.id in failing for pack in pack_list[start:stop] for ex in pack) for start, stop in zip(bounds, bounds[1:])
     )
     got = score_dataset(params, dataset)
     want = _serial_scores(params, dataset)
-    assert [i for i, _ in want.errors] == ["too-long", "out-of-vocab", "empty-input", "empty-label", "r1", "r14", "r28"]
+    assert [i for i, _ in want.errors] == ["too-long", "out-of-vocab", "empty-input", "empty-label", "r1", "r140", "r280"]
     _assert_same_result(got, want)
 
 
@@ -566,32 +645,56 @@ def test_an_unknown_ri_agg_raises_before_any_work(two_cores, no_fork, monkeypatc
 def test_split_scoring_reraises_an_error_and_leaves_no_process(side, three_cores, monkeypatch):
     # this process scores the first slice, so its error wins over a helper's
     parent_pid = os.getpid()
-    plain_forward = scoring.forward
+    plain_forward_tensors = scoring.forward_tensors
 
-    def failing_forward(params, tokens, first):
+    def failing_forward_tensors(params, tokens, lengths, rows):
         in_helper = os.getpid() != parent_pid
         if side == "both" or in_helper == (side == "helper"):
             raise RuntimeError("in the helper" if in_helper else "in the parent")
-        return plain_forward(params, tokens, first)
+        return plain_forward_tensors(params, tokens, lengths, rows)
 
-    monkeypatch.setattr(scoring, "forward", failing_forward)
+    monkeypatch.setattr(scoring, "forward_tensors", failing_forward_tensors)
     params = randomize_params(init(TINY), seed=9)
+    dataset = _random_dataset(6, n=300)
+    assert len(balanced_cuts(_pack_sizes(dataset), 3)) == 2  # two helpers
     with pytest.raises(RuntimeError, match="in the helper" if side == "helper" else "in the parent"):
-        score_dataset(params, _random_dataset(6))
+        score_dataset(params, dataset)
     assert multiprocessing.active_children() == [] and _children() == []
 
 
 @fork_only
 def test_a_helper_that_dies_makes_scoring_raise(three_cores, monkeypatch):
     parent_pid = os.getpid()
-    plain_forward = scoring.forward
+    plain_forward_tensors = scoring.forward_tensors
 
-    def dying_forward(params, tokens, first):
+    def dying_forward_tensors(params, tokens, lengths, rows):
         if os.getpid() != parent_pid:
             os._exit(3)
-        return plain_forward(params, tokens, first)
+        return plain_forward_tensors(params, tokens, lengths, rows)
 
-    monkeypatch.setattr(scoring, "forward", dying_forward)
+    monkeypatch.setattr(scoring, "forward_tensors", dying_forward_tensors)
+    dataset = _random_dataset(7, n=300)
+    assert len(balanced_cuts(_pack_sizes(dataset), 3)) == 2  # two helpers
     with pytest.raises(ChildProcessError, match="code 3"):
-        score_dataset(randomize_params(init(TINY), seed=10), _random_dataset(7))
+        score_dataset(randomize_params(init(TINY), seed=10), dataset)
     assert multiprocessing.active_children() == [] and _children() == []
+
+
+def test_scoring_one_full_pack_peaks_under_5_mib():
+    # scoring keeps no tape, so one pack's activations bound what it holds;
+    # tracemalloc sees numpy's buffers, so a bigger PACK_ROWS fails here
+    params = init(ModelConfig())
+    rng = np.random.default_rng(50)
+    ids = lambda n: rng.integers(0, params.config.vocab_size, n).tolist()
+    dataset = [_example(ids(int(n) - 6), ids(6), f"m{i}") for i, n in enumerate(rng.integers(15, 111, size=40))]
+    pack = packs(dataset, PACK_ROWS)[0]
+    assert sum(len(ex.tokens) for ex in pack) > PACK_ROWS - 110
+    domain = compute_domain_vector(params, pack)
+    scoring._score_packs([pack], params, domain, "mean")  # fills the causal-mask cache first
+    tracemalloc.start()
+    try:
+        scoring._score_packs([pack], params, domain, "mean")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, f"{peak / 2**20:.2f} MiB"

@@ -17,14 +17,13 @@ from conftest import TINY, _children, fork_only, randomize_params
 from reference_ops import greedy_evaluate, log_softmax_value
 from xtf import numerics as nm
 from xtf import training
-from xtf.data import EOS_ID, TokenizedExample, gen_synth, split_records, strip_noise, subseed, tokenize
+from xtf.data import EOS_ID, TokenizedExample, gen_synth, packs, split_records, strip_noise, subseed, tokenize
 from xtf.filtering import FilterConfig, NoiseMask
 from xtf.model import InputError, ModelConfig, ModelParams, OptState, forward, forward_tensors, init, optimizer_step
 from xtf.numerics import ContractError
 from xtf.training import (
     TrainConfig,
     _epoch_pass,
-    _runs,
     evaluate,
     masked_loss,
     packed_loss,
@@ -386,7 +385,7 @@ def test_epoch_pass_step_is_mean_of_per_sample_gradients():
         n_in, n_out = int(rng.integers(1, 12)), int(rng.integers(1, 12))
         batch.append(_example(rng.integers(0, 10, n_in).tolist(), rng.integers(0, 10, n_out).tolist(), f"b{i}"))
     masks = {ex.id: _mask(ex, {0}) for ex in batch[::3]}
-    runs = _runs(batch, PACK.max_seq)
+    runs = packs(batch, PACK.max_seq)
     assert [ex for run in runs for ex in run] == batch
     assert len(runs) > 1 and all(sum(len(ex.tokens) for ex in run) <= PACK.max_seq for run in runs)
 
@@ -656,7 +655,7 @@ def test_training_rounds_on_a_steady_heap_fault_in_no_pages():
     config = TrainConfig()
     params = init(ModelConfig())
     examples = [tokenize(r) for r in gen_synth("addition", 40, 0.3, 5)]
-    run = _runs(examples, params.config.max_seq)[0]
+    run = packs(examples, params.config.max_seq)[0]
     assert sum(len(ex.tokens) for ex in run) > 100
     state = OptState()
 
@@ -707,7 +706,7 @@ def test_base_with_the_worker_share_is_bitwise_the_single_process_base(
     examples = _base_corpus(seed)
     order = np.random.default_rng(subseed(seed, "warmup")).permutation(len(examples))  # warmup_base's first epoch
     batches = [[examples[i] for i in order[j : j + batch_size]] for j in range(0, len(order), batch_size)]
-    run_counts = {len(_runs(batch, max_seq)) for batch in batches}
+    run_counts = {len(packs(batch, max_seq)) for batch in batches}
     assert {1, 2} <= run_counts if max_seq == 128 else max(run_counts) >= 4
     bases = {}
     for cores in (1, 2):
@@ -750,7 +749,7 @@ def test_a_non_finite_run_names_the_same_run_with_the_worker_share(sides, monkey
     cfg = TrainConfig(learning_rate=3e-3, epochs=1, batch_size=16, optimizer="adam", seed=1)
     examples = _base_corpus(1, n_task=60, n_background=30)
     order = np.random.default_rng(subseed(cfg.seed, "warmup")).permutation(len(examples))
-    runs = _runs([examples[i] for i in order[32:48]], SHARE_MODEL.max_seq)  # the third batch
+    runs = packs([examples[i] for i in order[32:48]], SHARE_MODEL.max_seq)  # the third batch
     (k,) = nm.balanced_cuts([sum(len(ex.tokens) for ex in run) for run in runs], 2)
     bad = [runs[k - 1 if side == "worker" else k][0].id for side in sides]
     plain_packed_loss = training.packed_loss
